@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .groups import FiniteGroup, make_group
 from .sets import bits_of
+
+_BLOCK_BITS = 16  # GroupScan.sweep reduces at most 2^16 (S, X) entries at once
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,22 @@ class GroupScan:
             t |= frontier
         return t
 
+    @cached_property
+    def maximal_subgroups(self) -> tuple[int, ...]:
+        """Masks of the maximal subgroups of G.  Every subgroup is a join of
+        cyclic subgroups, so closing the cyclic ones under joins finds all."""
+        subs = {self.hull(1 | 1 << x) for x in range(self.n)}
+        new = subs
+        while new:
+            new = {self.hull(a | b) for a in new for b in subs} - subs
+            subs |= new
+        proper = [h for h in subs if h != (1 << self.n) - 1]
+        return tuple(h for h in proper
+                     if not any(o != h and h & ~o == 0 for o in proper))
+
     def generates(self, smask: int) -> bool:
-        return self.hull(smask) == (1 << self.n) - 1
+        """<S> = G, i.e. no maximal subgroup contains S."""
+        return all(smask & ~m for m in self.maximal_subgroups)
 
     def power_steps_to_full(self, smask: int) -> int | None:
         """Smallest j with S^j = G (S contains 1), or None if <S> != G."""
@@ -134,3 +150,101 @@ class GroupScan:
 
         rows = self.rows_rev(smask) if rev else self.rows(smask)
         return subset_scan(rows, self.n, ks, pin0=True, collect=collect)
+
+    def image_table(self, rev: bool = False) -> np.ndarray:
+        """T[s, y] = mask of X_y*s (X_y*s^-1 if rev), over the pinned sets
+        X_y = {1} u {x : bit x-1 of y}, built by doubling along y."""
+        n = self.n
+        cols = self._bitcol[:, self._inv] if rev else self._bitcol
+        t = np.empty((n, 1 << (n - 1)), dtype=np.uint32)
+        t[:, 0] = cols[0]
+        for j in range(n - 1):
+            t[:, 1 << j:2 << j] = t[:, :1 << j] | cols[j + 1][:, None]
+        return t
+
+    def sweep(self, ks: tuple[int, ...], collect: str, rev: bool = False):
+        """Pinned connectivity scans of Cay(G, S), or of its reverse, for
+        every S containing 1.
+
+        Yields ``(smask, {k: ScanResult})`` in the ascending order of
+        ``subsets_with_identity()``; each result equals
+        ``scan(smask, ks, rev=rev, collect=collect)`` at the levels
+        "none", "alpha" and "atoms".  The image of X under S is the OR of
+        ``image_table(rev)[s]`` over s in S.  The low bits of S index a
+        table of partial images built once; each block ORs in the image
+        of the high bits and reduces every row (one S) in a single pass.
+        A block holds at most ``2**_BLOCK_BITS`` (S, X) entries, which
+        bounds memory.  The reverse sweep builds its own table from the
+        inverses and never reads forward results, so comparing the two
+        directions checks something.  Groups of order at most 16.
+        """
+        from .iso import ScanResult
+
+        if collect not in ("none", "alpha", "atoms"):
+            raise ValueError(f"sweep collects 'none', 'alpha' or 'atoms', not {collect!r}")
+        n = self.n
+        if n > 16:
+            raise ValueError("sweep keys fit groups of order at most 16")
+        free = n - 1
+        t = self.image_table(rev)
+        lo = min(free, max(0, _BLOCK_BITS - free))
+        low = np.empty((1 << lo, 1 << free), dtype=np.uint32)
+        low[0] = t[0]
+        for j in range(lo):
+            low[1 << j:2 << j] = low[:1 << j] | t[j + 1]
+        # key = 16 |XS \ X| + |X| - 1 (mod 256) orders X by boundary, then
+        # size, so one row minimum carries kappa and alpha.  X is feasible
+        # for k when |X| >= k and |XS| <= n - k; the others get key 255,
+        # above every feasible key (boundary < 15).
+        pcx = np.bitwise_count(np.arange(1 << free, dtype=np.uint32)) + np.uint8(1)
+        offset = np.uint8(15) * pcx + np.uint8(1)
+        limit = {k: np.where(pcx >= k, n - k, 0).astype(np.uint8) for k in ks}
+        blk = np.empty_like(low)
+        pc, key, kk = (np.empty(low.shape, dtype=np.uint8) for _ in range(3))
+        flag = np.empty(low.shape, dtype=bool)
+
+        def highs(first, count):
+            # OR of t[first + j] over the set bits j of h, for h ascending;
+            # acc[i] is the OR over the set bits j >= i of h
+            acc = [np.uint32(0)] * (count + 1)
+            yield acc[0]
+            for h in range(1, 1 << count):
+                p = (h & -h).bit_length() - 1
+                acc[:p + 1] = [acc[p + 1] | t[first + p]] * (p + 1)
+                yield acc[0]
+
+        smask = 1
+        for base in highs(lo + 1, free - lo):
+            np.bitwise_or(low, base, out=blk)
+            np.bitwise_count(blk, out=pc)
+            np.multiply(pc, 16, out=key)
+            np.subtract(key, offset, out=key)
+            out = [{} for _ in range(1 << lo)]
+            for k in ks:
+                np.greater(pc, limit[k], out=flag)
+                np.negative(flag.view(np.uint8), out=kk)
+                np.bitwise_or(kk, key, out=kk)
+                m = kk.min(axis=1)
+                if collect != "none":
+                    np.less_equal(kk, (m | 15)[:, None], out=flag)
+                    # a row holds at most 2^15 entries, so uint16 counts them
+                    counts = np.add.reduce(flag.view(np.uint8), axis=1,
+                                           dtype=np.uint16).tolist()
+                if collect == "atoms":
+                    np.equal(kk, m[:, None], out=flag)
+                    flag[m == 0xFF] = False
+                    at = np.flatnonzero(flag)
+                    xs = ((at & ((1 << free) - 1)) << 1 | 1).tolist()
+                    ends = [0, *np.cumsum(np.bincount(at >> free, minlength=len(m))).tolist()]
+                for i, v in enumerate(m.tolist()):
+                    if v == 0xFF:
+                        res = ScanResult(False, n - 2 * k + 1, None, None, None, None)
+                    elif collect == "none":
+                        res = ScanResult(True, v >> 4, None, None, None, None)
+                    else:
+                        found = tuple(xs[ends[i]:ends[i + 1]]) if collect == "atoms" else None
+                        res = ScanResult(True, v >> 4, (v & 15) + 1, found, None, counts[i])
+                    out[i][k] = res
+            for res in out:
+                yield smask, res
+                smask += 2

@@ -154,11 +154,11 @@ def _grp_one_atom(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     if n < 2:
         return t
     full = (1 << n) - 1
-    for smask in scan.subsets_with_identity():
+    for (smask, fwd), (_, rev) in zip(scan.sweep((1,), "atoms"),
+                                      scan.sweep((1,), "atoms", rev=True)):
         if not scan.generates(smask):
             continue
-        f = scan.scan(smask, (1,), collect="atoms")[1]
-        r = scan.scan(smask, (1,), rev=True, collect="atoms")[1]
+        f, r = fwd[1], rev[1]
         a_f = f.alpha if f.separable else 1
         a_r = r.alpha if r.separable else 1
         kap = f.kappa
@@ -202,11 +202,11 @@ def _grp_olson(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     n = g.order
     if n < 2:
         return t
-    for smask in scan.subsets_with_identity():
+    for (smask, fwd), (_, rev) in zip(scan.sweep((1,), "atoms"),
+                                      scan.sweep((1,), "atoms", rev=True)):
         if not scan.generates(smask):
             continue
-        f = scan.scan(smask, (1,), collect="atoms")[1]
-        r = scan.scan(smask, (1,), rev=True, collect="atoms")[1]
+        f, r = fwd[1], rev[1]
         kap = f.kappa
         size = smask.bit_count()
         if 2 * kap < size:
@@ -369,11 +369,12 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     n = g.order
     p = min_subgroup_order(g)
     ks = (1, 2) if n >= 3 else (1,)
-    for smask in scan.subsets_with_identity():
+    # the reverse scan is read at k = 2 only
+    for (smask, res), (_, rev) in zip(scan.sweep(ks, "atoms"),
+                                      scan.sweep(ks[-1:], "alpha", rev=True)):
         if not scan.generates(smask):
             continue
         size = smask.bit_count()
-        res = scan.scan(smask, ks, collect="none")
         if size <= p:
             ok_i = res[1].kappa == size - 1
             t.test(ok_i, set=_ids(smask), observed={"kappa1": res[1].kappa},
@@ -389,8 +390,7 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             if not res[2].separable:
                 t.test(True)  # convention atoms are pairs, bound is immediate
                 continue
-            f2 = scan.scan(smask, (2,), collect="atoms")[2]
-            r2 = scan.scan(smask, (2,), rev=True, collect="alpha")[2]
+            f2, r2 = res[2], rev[2]
             a_r = r2.alpha if r2.separable else 2
             if f2.alpha > a_r:
                 t.skip()
@@ -447,12 +447,11 @@ def _grp_abelian_two_atoms(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     t = _Tally(g.name)
     n = g.order
     ks = (1, 2) if n >= 3 else (1,)
-    for smask in scan.subsets_with_identity():
+    for (smask, fwd), (_, rev) in zip(scan.sweep(ks, "atoms"),
+                                      scan.sweep(ks, "alpha", rev=True)):
         if not scan.generates(smask):
             continue
         size = smask.bit_count()
-        fwd = scan.scan(smask, ks, collect="atoms")
-        rev = scan.scan(smask, ks, rev=True, collect="alpha")
         sym_ok = True
         for k in ks:
             fk, rk = fwd[k], rev[k]
@@ -521,17 +520,18 @@ def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     full = (1 << n) - 1
     stride = _bijection_stride(n)
     idx = -1
-    for smask in scan.subsets_with_identity():
+    for (smask, fwd), (_, rev) in zip(scan.sweep((2,), "atoms"),
+                                      scan.sweep((2,), "atoms", rev=True)):
         if not scan.generates(smask):
             continue
         idx += 1
         size = smask.bit_count()
-        f2 = scan.scan(smask, (2,), collect="atoms")[2]
+        f2 = fwd[2]
         symmetric = scan.inverse_mask(smask) == smask
 
         # coverage bound
         if f2.separable and f2.alpha >= 3:
-            r2 = scan.scan(smask, (2,), rev=True, collect="atoms")[2]
+            r2 = rev[2]
             if r2.separable and f2.alpha <= r2.alpha:
                 om2 = len(f2.atom_masks)
                 om2r = len(r2.atom_masks)
@@ -764,7 +764,7 @@ def run(
         tasks = [(tid, e.spec, seed) for e in group_entries]
         if workers > 1 and len(tasks) > 1:
             with get_context("fork").Pool(workers) as pool:
-                partials = pool.map(_run_group, tasks)
+                partials = pool.map(_run_group, tasks, chunksize=1)
         else:
             partials = [_run_group(task) for task in tasks]
         tested = sum(p["tested"] for p in partials)

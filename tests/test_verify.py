@@ -67,6 +67,91 @@ def test_groupscan_helpers():
     assert rows[2] == 0b001100  # 2*{0,1} = {2,3}
 
 
+def _sweep_matches_scan(scan, subsets, ks):
+    """Compare GroupScan.sweep with GroupScan.scan on the given S, in both
+    directions and at every level the checkers use."""
+    subsets = set(subsets)
+    for rev in (False, True):
+        for level in ("none", "alpha", "atoms"):
+            order = []
+            for smask, res in scan.sweep(ks, level, rev=rev):
+                order.append(smask)
+                if smask in subsets:
+                    assert res == scan.scan(smask, ks, rev=rev, collect=level), (
+                        scan.group.name, smask, rev, level)
+            assert order == list(scan.subsets_with_identity())
+
+
+def test_sweep_equals_scan_to_order_8():
+    # every S, generating or not, separable or not, in every group to order 8
+    seen_nongen = seen_nonsep = 0
+    for e in entries(8):
+        g = build(e.spec)
+        scan = GroupScan(g)
+        ks = (1, 2) if g.order >= 3 else (1,)
+        _sweep_matches_scan(scan, scan.subsets_with_identity(), ks)
+        for smask, res in scan.sweep(ks, "none"):
+            seen_nongen += not scan.generates(smask)
+            seen_nonsep += not res[ks[-1]].separable
+    assert seen_nongen > 0 and seen_nonsep > 0
+
+
+@pytest.mark.parametrize(
+    "spec", ["cyclic:16", "product:cyclic:2,product:cyclic:2,product:cyclic:2,cyclic:2"])
+def test_sweep_equals_scan_sampled_order_16(spec):
+    # order 16 splits each sweep into many blocks
+    import random
+
+    g = build(spec)
+    assert g.order == 16
+    scan = GroupScan(g)
+    sample = random.Random(16).sample(list(scan.subsets_with_identity()), 200)
+    _sweep_matches_scan(scan, sample, (1, 2))
+
+
+def test_generates_matches_hull():
+    import random
+
+    for e in entries(8):
+        scan = GroupScan(build(e.spec))
+        full = (1 << scan.n) - 1
+        for smask in scan.subsets_with_identity():
+            assert scan.generates(smask) == (scan.hull(smask) == full)
+    for spec in ("cyclic:16", "product:cyclic:2,product:cyclic:2,product:cyclic:2,cyclic:2",
+                 "dihedral:8", "cyclic:12"):
+        scan = GroupScan(build(spec))
+        full = (1 << scan.n) - 1
+        subsets = list(scan.subsets_with_identity())
+        for smask in random.Random(1).sample(subsets, 300) + subsets[:64]:
+            assert scan.generates(smask) == (scan.hull(smask) == full)
+
+
+def test_sweep_rejects_unknown_level():
+    with pytest.raises(ValueError):
+        next(GroupScan(build("cyclic:4")).sweep((1,), "all"))
+
+
+def test_mirror_check_sees_corrupt_forward_table(monkeypatch):
+    # the reverse sweep builds its own image table: breaking only the
+    # forward one must surface as a mirror-symmetry counterexample
+    import random
+
+    original = GroupScan.image_table
+
+    def corrupt(self, rev=False):
+        t = original(self, rev)
+        if not rev:
+            t[1] = (1 << self.n) - 1  # X*1 claimed to be all of G
+        return t
+
+    g = build("cyclic:6")
+    clean = verify._grp_abelian_two_atoms(g, GroupScan(g), random.Random(0))
+    assert not clean.ces
+    monkeypatch.setattr(GroupScan, "image_table", corrupt)
+    tally = verify._grp_abelian_two_atoms(g, GroupScan(g), random.Random(0))
+    assert any(ce.get("what") == "mirror symmetry" for ce in tally.ces)
+
+
 # ---------------------------------------------------------------------------
 # checker sweeps (small orders; acceptance covers the stated scopes)
 # ---------------------------------------------------------------------------
@@ -78,10 +163,8 @@ def reports7():
     return {r.theorem: r for r in verify.run("all", max_order=8, seed=0)}
 
 
-def test_all_checkers_pass_except_orderbase(reports7):
+def test_all_checkers_pass(reports7):
     for tid, rep in reports7.items():
-        if tid == "orderbase":
-            continue
         assert rep.ok, f"{tid}: {rep.counterexamples[:2]}"
         assert rep.instances_tested > 0
 
@@ -130,6 +213,17 @@ def test_determinism_and_workers():
     d = [r.to_payload() for r in verify.run("classical", max_order=6, seed=4)]
     # different seed may sample different pairs but the schema is stable
     assert [r["theorem"] for r in d] == [r["theorem"] for r in a]
+
+
+def test_workers_split_scan_sweep_identically():
+    # the abelian groups to order 8 go to two workers one group at a
+    # time; the report must not change
+    a = [r.to_payload() for r in verify.run("abelian_two_atoms", max_order=8, seed=0)]
+    b = [
+        r.to_payload()
+        for r in verify.run("abelian_two_atoms", max_order=8, seed=0, workers=2)
+    ]
+    assert strip_elapsed(a) == strip_elapsed(b)
 
 
 def test_unknown_theorem_rejected():
