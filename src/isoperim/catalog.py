@@ -16,7 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, inverse_mask, make_group
+from .iso import ScanResult, or_table, subset_scan
 from .sets import bits_of
 
 _BLOCK_BITS = 16  # GroupScan.sweep reduces at most 2^16 (S, X) entries at once
@@ -66,10 +67,8 @@ class GroupScan:
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.n = group.order
-        n = self.n
         tbl = np.array(group.table, dtype=np.int64)
         self._bitcol = (np.uint32(1) << tbl.astype(np.uint32))
-        self._inv = group.inv
 
     def subsets_with_identity(self):
         """All masks S with 1 in S, ascending."""
@@ -79,17 +78,6 @@ class GroupScan:
         """Cayley adjacency rows for S: rows[x] = mask of x*S."""
         idx = list(bits_of(smask))
         return np.bitwise_or.reduce(self._bitcol[:, idx], axis=1).tolist()
-
-    def inverse_mask(self, smask: int) -> int:
-        inv = self._inv
-        out = 0
-        for s in bits_of(smask):
-            out |= 1 << inv[s]
-        return out
-
-    def rows_rev(self, smask: int) -> list[int]:
-        """Rows of the reverse graph, i.e. of Cay(G, S^-1)."""
-        return self.rows(self.inverse_mask(smask))
 
     def hull(self, smask: int) -> int:
         """Mask of <S> for S containing the identity."""
@@ -146,21 +134,15 @@ class GroupScan:
     def scan(self, smask: int, ks: tuple[int, ...], *, rev: bool = False,
              collect: str = "alpha"):
         """Pinned connectivity scan of Cay(G, S) or its reverse."""
-        from .iso import subset_scan
-
-        rows = self.rows_rev(smask) if rev else self.rows(smask)
+        # the reverse graph of Cay(G, S) is Cay(G, S^-1)
+        rows = self.rows(inverse_mask(self.group, smask) if rev else smask)
         return subset_scan(rows, self.n, ks, pin0=True, collect=collect)
 
     def image_table(self, rev: bool = False) -> np.ndarray:
         """T[s, y] = mask of X_y*s (X_y*s^-1 if rev), over the pinned sets
-        X_y = {1} u {x : bit x-1 of y}, built by doubling along y."""
-        n = self.n
-        cols = self._bitcol[:, self._inv] if rev else self._bitcol
-        t = np.empty((n, 1 << (n - 1)), dtype=np.uint32)
-        t[:, 0] = cols[0]
-        for j in range(n - 1):
-            t[:, 1 << j:2 << j] = t[:, :1 << j] | cols[j + 1][:, None]
-        return t
+        X_y = {1} u {x : bit x-1 of y}."""
+        cols = self._bitcol[:, self.group.inv] if rev else self._bitcol
+        return np.ascontiguousarray(or_table(cols[0], cols[1:]).T)
 
     def sweep(self, ks: tuple[int, ...], collect: str, rev: bool = False):
         """Pinned connectivity scans of Cay(G, S), or of its reverse, for
@@ -178,8 +160,6 @@ class GroupScan:
         inverses and never reads forward results, so comparing the two
         directions checks something.  Groups of order at most 16.
         """
-        from .iso import ScanResult
-
         if collect not in ("none", "alpha", "atoms"):
             raise ValueError(f"sweep collects 'none', 'alpha' or 'atoms', not {collect!r}")
         n = self.n
@@ -188,10 +168,7 @@ class GroupScan:
         free = n - 1
         t = self.image_table(rev)
         lo = min(free, max(0, _BLOCK_BITS - free))
-        low = np.empty((1 << lo, 1 << free), dtype=np.uint32)
-        low[0] = t[0]
-        for j in range(lo):
-            low[1 << j:2 << j] = low[:1 << j] | t[j + 1]
+        low = or_table(t[0], t[1:lo + 1])
         # key = 16 |XS \ X| + |X| - 1 (mod 256) orders X by boundary, then
         # size, so one row minimum carries kappa and alpha.  X is feasible
         # for k when |X| >= k and |XS| <= n - k; the others get key 255,

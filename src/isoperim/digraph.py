@@ -35,7 +35,7 @@ class Digraph:
     automorphisms, one per vertex, with ``translations[a][0] == a``.
     """
 
-    __slots__ = ("n", "rows", "transitive", "translations", "_in_rows")
+    __slots__ = ("n", "rows", "transitive", "translations", "_in_rows", "_reflexive")
 
     def __init__(
         self,
@@ -56,13 +56,16 @@ class Digraph:
         object.__setattr__(self, "transitive", transitive)
         object.__setattr__(self, "translations", translations)
         object.__setattr__(self, "_in_rows", None)
+        object.__setattr__(
+            self, "_reflexive", all((r >> v) & 1 for v, r in enumerate(self.rows))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
 
     @property
     def reflexive(self) -> bool:
-        return all((r >> v) & 1 for v, r in enumerate(self.rows))
+        return self._reflexive
 
     @property
     def in_rows(self) -> tuple[int, ...]:

@@ -7,10 +7,16 @@ minimizers are k-atoms.  When no X qualifies the graph is non
 k-separable and kappa_k = |V| - 2k + 1 by convention, with every
 k-subset counting as a fragment and an atom.
 
-Everything here is exact.  Enumeration over the powerset is vectorized
-(numpy over 2^20-entry chunks) and, for vertex-transitive graphs, can be
-pinned to subsets containing vertex 0, which loses nothing: translating
-a qualifying set by a graph automorphism preserves its boundary size.
+Everything here is exact.  ``subset_scan`` enumerates the powerset in
+one vectorized pass (numpy over 2^20-entry chunks) and, for
+vertex-transitive graphs, can be pinned to subsets containing vertex 0,
+which loses nothing: translating a qualifying set by a graph automorphism
+preserves its boundary size.  ``or_table`` builds every image table, here
+and in the catalog sweeps, by doubling over the power set: the images of
+the low vertices once per scan, then one OR per chunk for the high ones.
+Each (chunk, k) reduces to one uint16 key per subset, 32 times the
+boundary plus the size, so its minimum gives kappa and alpha, and the
+fragment count, fragments and atoms come from the same key.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .sets import ElementSet
 _CHUNK_BITS = 20
 _EXHAUSTIVE_CAP = 24
 _FLOW_THRESHOLD = 20  # above this, kappa_1 goes through max-flow
-_SENTINEL = 255
 
 _pc_tables: dict[int, np.ndarray] = {}
 
@@ -40,6 +45,17 @@ def _pc_of_indices(bits: int) -> np.ndarray:
         tbl = np.bitwise_count(np.arange(1 << bits, dtype=np.uint32)).astype(np.uint8)
         _pc_tables[bits] = tbl
     return tbl
+
+
+def or_table(base, gens) -> np.ndarray:
+    """uint32 table with ``out[y] = base | OR of gens[j] over the set bits j
+    of y``.  ``base`` and every ``gens[j]`` are int masks or uint32 arrays
+    of one shape; the table doubles along its first axis, one slice per gen."""
+    out = np.empty((1 << len(gens), *np.shape(base)), dtype=np.uint32)
+    out[0] = base
+    for j, gen in enumerate(gens):
+        np.bitwise_or(out[:1 << j], gen, out=out[1 << j:2 << j])
+    return out
 
 
 class ScanResult(NamedTuple):
@@ -65,111 +81,82 @@ def subset_scan(
     the exact connectivity data at the ``collect`` level: "none" (kappa
     and separability), "alpha" (plus atom cardinality and fragment
     count), "atoms" (plus atom masks), "all" (plus every fragment mask).
+
+    One pass: the images of the low ``_CHUNK_BITS`` free vertices form
+    one table, each chunk ORs in one image of the high vertices, and each
+    (chunk, k) is reduced once through the key ``32 |XB \\ X| + |X|``.
+    Chunks merge into a running minimum, in ascending mask order.
     """
     if collect not in ("none", "alpha", "atoms", "all"):
         raise ValueError(f"unknown collect level {collect!r}")
-    free = list(range(1, n)) if pin0 else list(range(n))
-    nb = len(free)
-    lo = min(nb, _CHUNK_BITS)
-    hi = nb - lo
-    base0 = rows[0] if pin0 else 0
-    lo_rows = [rows[free[j]] for j in range(lo)]
-    hi_rows = [rows[free[lo + j]] for j in range(hi)]
+    free = rows[1:n] if pin0 else rows[:n]
+    lo = min(len(free), _CHUNK_BITS)
+    low = or_table(rows[0] if pin0 else 0, free[:lo])
+    high = or_table(0, free[lo:])
     pc_y = _pc_of_indices(lo)
-    pin_add = 1 if pin0 else 0
+    img = low if len(high) == 1 else np.empty_like(low)
+    pc = np.empty(low.shape, dtype=np.uint8)
+    key = np.empty(low.shape, dtype=np.uint16)
+    flag = np.empty(low.shape, dtype=bool)
+    def masks(h: int) -> list[int]:
+        """The flagged X of chunk h, ascending."""
+        m = np.flatnonzero(flag) + (h << lo)
+        return (m << 1 | 1 if pin0 else m).tolist()
 
-    def chunk(h: int):
-        base = base0
-        extra = 0
-        hh = h
-        j = 0
-        while hh:
-            if hh & 1:
-                base |= hi_rows[j]
-                extra += 1
-            hh >>= 1
-            j += 1
-        img = np.full(1 << lo, base, dtype=np.uint32)
-        for j in range(lo):
-            v = img.reshape(-1, 2, 1 << j)
-            v[:, 1, :] = v[:, 0, :] | np.uint32(lo_rows[j])
-        pc_img = np.bitwise_count(img).astype(np.uint8)
-        pc_x = pc_y + np.uint8(extra + pin_add)
-        bnd = pc_img - pc_x  # reflexive, so pc_img >= pc_x
-        wedge = np.uint8(n) - pc_img
-        return img, pc_x, bnd, wedge
-
-    single = hi == 0
-    kept = chunk(0) if single else None
-
-    def chunks():
-        if single:
-            yield 0, kept
-        else:
-            for h in range(1 << hi):
-                yield h, chunk(h)
-
-    def x_mask(h: int, y: int) -> int:
-        m = (h << lo) | y
-        return ((m << 1) | 1) if pin0 else m
-
-    best: dict[int, int] = {k: _SENTINEL for k in ks}
-    for _, (img, pc_x, bnd, wedge) in chunks():
+    # per k: [kappa, alpha, fragment count, fragment masks, atom masks]
+    state: dict[int, list] = {}
+    for h, hmask in enumerate(high):
+        if img is not low:
+            np.bitwise_or(low, hmask, out=img)
+        np.bitwise_count(img, out=pc)
+        c = h.bit_count() + pin0  # |X| = pc_y + c
         for k in ks:
-            feas = (pc_x >= k) & (wedge >= k)
-            if feas.any():
-                m = int(np.min(np.where(feas, bnd, _SENTINEL)))
-                if m < best[k]:
-                    best[k] = m
+            # key = 32 (|XB| - |X|) + |X|, or 0xFFFF when X is infeasible:
+            # |X| < k, or fewer than k vertices outside XB
+            np.subtract(pc, pc_y, out=key, dtype=np.uint16)
+            np.left_shift(key, 5, out=key)
+            np.add(key, pc_y, out=key)
+            np.subtract(key, 31 * c, out=key)
+            np.greater(pc, n - k, out=flag)
+            np.copyto(key, 0xFFFF, where=flag)
+            np.less(pc_y, k - c, out=flag)
+            np.copyto(key, 0xFFFF, where=flag)
+            m = int(key.min())
+            kap, alpha = m >> 5, m & 31
+            st = state.get(k)
+            if m == 0xFFFF or (st is not None and kap > st[0]):
+                continue
+            if st is None or kap < st[0]:
+                st = state[k] = [kap, alpha, 0, [], []]
+            if collect == "none":
+                continue
+            np.less_equal(key, 32 * kap + 31, out=flag)
+            st[2] += int(np.count_nonzero(flag))
+            if collect == "all":
+                st[3].extend(masks(h))
+            if alpha < st[1]:
+                st[1], st[4] = alpha, []
+            if alpha == st[1] and collect != "alpha":
+                np.equal(key, m, out=flag)
+                st[4].extend(masks(h))
 
     out: dict[int, ScanResult] = {}
-    todo = []
     for k in ks:
-        if best[k] == _SENTINEL:
+        st = state.get(k)
+        if st is None:
             out[k] = ScanResult(False, n - 2 * k + 1, None, None, None, None)
         elif collect == "none":
-            out[k] = ScanResult(True, best[k], None, None, None, None)
+            out[k] = ScanResult(True, st[0], None, None, None, None)
         else:
-            todo.append(k)
-
-    if todo:
-        alpha = {k: _SENTINEL for k in todo}
-        count = {k: 0 for k in todo}
-        frag_masks: dict[int, list[int]] = {k: [] for k in todo}
-        for h, (img, pc_x, bnd, wedge) in chunks():
-            for k in todo:
-                cond = (pc_x >= k) & (wedge >= k) & (bnd == best[k])
-                if not cond.any():
-                    continue
-                count[k] += int(np.count_nonzero(cond))
-                a = int(np.min(np.where(cond, pc_x, _SENTINEL)))
-                if a < alpha[k]:
-                    alpha[k] = a
-                if collect == "all":
-                    ys = np.nonzero(cond)[0]
-                    frag_masks[k].extend(x_mask(h, int(y)) for y in ys)
-        atom_masks: dict[int, list[int]] = {k: [] for k in todo}
-        if collect == "atoms":
-            for h, (img, pc_x, bnd, wedge) in chunks():
-                for k in todo:
-                    cond = (
-                        (pc_x >= k)
-                        & (wedge >= k)
-                        & (bnd == best[k])
-                        & (pc_x == alpha[k])
-                    )
-                    if cond.any():
-                        ys = np.nonzero(cond)[0]
-                        atom_masks[k].extend(x_mask(h, int(y)) for y in ys)
-        for k in todo:
-            frags = tuple(frag_masks[k]) if collect == "all" else None
-            if collect == "all":
-                atoms_k = tuple(m for m in frags if m.bit_count() == alpha[k])
-            elif collect == "atoms":
-                atoms_k = tuple(atom_masks[k])
-            else:
-                atoms_k = None
-            out[k] = ScanResult(True, best[k], alpha[k], atoms_k, frags, count[k])
+            kap, alpha, count, frags, atoms_k = st
+            out[k] = ScanResult(
+                True,
+                kap,
+                alpha,
+                tuple(atoms_k) if collect != "alpha" else None,
+                tuple(frags) if collect == "all" else None,
+                count,
+            )
     return out
 
 
@@ -641,11 +628,7 @@ def verify_isoperimetric_inequality(g: Digraph, k: int, sign: str = FWD) -> bool
     res = subset_scan(rows, n, (k,), collect="none")[k]
     kap = res.kappa
     pc_x = _pc_of_indices(n).astype(np.int16)
-    img = np.zeros(1 << n, dtype=np.uint32)
-    for i in range(n):
-        v = img.reshape(-1, 2, 1 << i)
-        v[:, 1, :] = v[:, 0, :] | np.uint32(rows[i])
-    pc_img = np.bitwise_count(img).astype(np.int16)
+    pc_img = np.bitwise_count(or_table(0, rows)).astype(np.int16)
     rel = pc_x >= k
     holds = bool(
         np.all(pc_img[rel] >= np.minimum(n - k + 1, pc_x[rel] + kap))

@@ -92,10 +92,19 @@ class _Tally:
         self.details: dict[str, int] = {}
 
     def test(self, ok: bool, **ce) -> None:
+        """Count one instance.  ``set`` and the ``atom``/``atoms`` entries of
+        ``observed`` hold raw masks (or dicts or lists of masks), turned into
+        id lists only when a counterexample is recorded."""
         self.tested += 1
         if ok:
             self.passing += 1
         elif len(self.ces) < _MAX_CES_PER_GROUP:
+            if "set" in ce:
+                ce["set"] = _ids(ce["set"])
+            observed = ce.get("observed", {})
+            for key in ("atom", "atoms"):
+                if key in observed:
+                    observed[key] = _ids(observed[key])
             self.ces.append({"group": self.group, **ce})
 
     def skip(self, k: int = 1) -> None:
@@ -105,8 +114,13 @@ class _Tally:
         self.details[key] = self.details.get(key, 0) + by
 
 
-def _ids(mask: int) -> list[int]:
-    return list(bits_of(mask))
+def _ids(masks):
+    """Element ids of a mask, or of each mask in a dict or list of masks."""
+    if isinstance(masks, dict):
+        return {key: _ids(m) for key, m in masks.items()}
+    if isinstance(masks, (list, tuple)):
+        return [_ids(m) for m in masks]
+    return list(bits_of(masks))
 
 
 def _instance_seed(seed: int, theorem: str, spec: str) -> int:
@@ -165,7 +179,7 @@ def _grp_one_atom(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         if a_f <= a_r:
             side, eff_s = f, smask
         else:
-            side, eff_s = r, scan.inverse_mask(smask)
+            side, eff_s = r, inverse_mask(g, smask)
         atoms0 = side.atom_masks if side.separable else (1,)
         ok = True
         for hm in atoms0:
@@ -177,7 +191,7 @@ def _grp_one_atom(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             ok = ok and sub_ok and gen_ok and formula_ok
         t.test(
             ok,
-            set=_ids(smask),
+            set=smask,
             observed={"alpha": a_f, "alpha_neg": a_r, "kappa1": kap},
         )
     return t
@@ -210,7 +224,7 @@ def _grp_olson(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         kap = f.kappa
         size = smask.bit_count()
         if 2 * kap < size:
-            t.test(False, set=_ids(smask), observed={"kappa1": kap, "size": size})
+            t.test(False, set=smask, observed={"kappa1": kap, "size": size})
             continue
         if 2 * kap != size:
             t.test(True)
@@ -227,8 +241,8 @@ def _grp_olson(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                     found = True
         t.test(
             found,
-            set=_ids(smask),
-            observed={"kappa1": kap, "atoms": [_ids(m) for m in h0]},
+            set=smask,
+            observed={"kappa1": kap, "atoms": h0},
             what="equality without two-coset structure",
         )
         if found:
@@ -256,7 +270,7 @@ def _grp_olson(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                     break
                 cur = nxt
                 j += 1
-            t.test(ok8, set={"B": _ids(bm)}, observed={"j": j}, what="power bound")
+            t.test(ok8, set={"B": bm}, observed={"j": j}, what="power bound")
         km, rows_b = k_cache[bm]
         ab = 0
         for v in bits_of(am):
@@ -267,7 +281,7 @@ def _grp_olson(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         )
         t.test(
             ok9,
-            set={"A": _ids(am), "B": _ids(bm)},
+            set={"A": am, "B": bm},
             observed={"AB": ab.bit_count()},
             what="product bound",
         )
@@ -296,7 +310,7 @@ def _grp_orderbase(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         bound = 1 if smask == full else max(2, literal)
         t.test(
             steps <= bound,
-            set=_ids(smask),
+            set=smask,
             observed={"steps": steps, "bound": bound},
         )
         if steps > literal:
@@ -355,7 +369,7 @@ def _grp_coset_deficiency(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 w += 1
         t.test(
             w * kap <= a_s.bit_count() - am.bit_count(),
-            set={"S": _ids(sm), "A": _ids(am)},
+            set={"S": sm, "A": am},
             observed={"W": w, "kappa1": kap},
         )
     return t
@@ -377,12 +391,12 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         size = smask.bit_count()
         if size <= p:
             ok_i = res[1].kappa == size - 1
-            t.test(ok_i, set=_ids(smask), observed={"kappa1": res[1].kappa},
+            t.test(ok_i, set=smask, observed={"kappa1": res[1].kappa},
                    what="cauchy")
             if n >= 3 and res[2].separable and res[2].kappa == size - 1:
                 s_set = ElementSet(n, smask)
                 ratios = progression_ratios(g, s_set)
-                t.test(bool(ratios), set=_ids(smask), what="progression")
+                t.test(bool(ratios), set=smask, what="progression")
                 if ratios:
                     t.bump("progressions")
         # bounded 2-atoms with trivial left stabilizer
@@ -399,8 +413,8 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 if _left_stab_size(g, hm) == 1:
                     t.test(
                         hm.bit_count() <= size - 1,
-                        set=_ids(smask),
-                        observed={"atom": _ids(hm)},
+                        set=smask,
+                        observed={"atom": hm},
                         what="2-atom size",
                     )
     # critical pairs (Vosper-type structure for |B| <= p(G))
@@ -420,7 +434,7 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             found = any(
                 mask_mul_elem(g, inv_a, a) == target for a in range(n)
             )
-            t.test(found, set={"A": _ids(am), "B": _ids(bm)}, what="complement pair")
+            t.test(found, set={"A": am, "B": bm}, what="complement pair")
         else:
             ra = set(progression_ratios(g, ElementSet(n, am)))
             rb = set(progression_ratios(g, ElementSet(n, bm)))
@@ -433,7 +447,7 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 common = ra_t & rb_t
                 t.test(
                     bool(common),
-                    set={"A": _ids(am), "B": _ids(bm)},
+                    set={"A": am, "B": bm},
                     what="no common progression ratio",
                 )
                 if common:
@@ -458,7 +472,7 @@ def _grp_abelian_two_atoms(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             sym_ok = sym_ok and fk.separable == rk.separable and fk.kappa == rk.kappa
             if fk.separable:
                 sym_ok = sym_ok and fk.alpha == rk.alpha
-        t.test(sym_ok, set=_ids(smask), what="mirror symmetry")
+        t.test(sym_ok, set=smask, what="mirror symmetry")
         if n < 3:
             continue
         f2 = fwd[2]
@@ -482,8 +496,8 @@ def _grp_abelian_two_atoms(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         else:
             t.test(
                 not nontrivial,
-                set=_ids(smask),
-                observed={"atoms": [_ids(m) for m in nontrivial]},
+                set=smask,
+                observed={"atoms": nontrivial},
                 what="2-atom neither subgroup nor pair",
             )
         for hm in nontrivial:
@@ -495,8 +509,8 @@ def _grp_abelian_two_atoms(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 ok = ok and hm.bit_count() == 3
             t.test(
                 ok,
-                set=_ids(smask),
-                observed={"atom": _ids(hm), "kappa2_atom": kap2_h},
+                set=smask,
+                observed={"atom": hm, "kappa2_atom": kap2_h},
                 what="degenerate atom bound",
             )
     return t
@@ -527,7 +541,7 @@ def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         idx += 1
         size = smask.bit_count()
         f2 = fwd[2]
-        symmetric = scan.inverse_mask(smask) == smask
+        symmetric = inverse_mask(g, smask) == smask
 
         # coverage bound
         if f2.separable and f2.alpha >= 3:
@@ -538,7 +552,7 @@ def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 bound = 3 + max(f2.kappa, r2.kappa) - size
                 t.test(
                     min(om2, om2r) <= 2 or f2.alpha <= bound,
-                    set=_ids(smask),
+                    set=smask,
                     observed={"omega2": om2, "omega_neg2": om2r, "alpha2": f2.alpha},
                     what="coverage bound",
                 )
@@ -552,8 +566,8 @@ def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             for hm in f2.atom_masks:
                 t.test(
                     _left_stab_size(g, hm) >= 2,
-                    set=_ids(smask),
-                    observed={"atom": _ids(hm)},
+                    set=smask,
+                    observed={"atom": hm},
                     what="symmetric stabilizer",
                 )
 
@@ -583,7 +597,7 @@ def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                         ym = inverse_mask(g, fr.mask)
                         mapped.add(mask_mul_elem(g, elem_mul_mask(g, ai, ym), a))
                     ok = mapped == rev_set and len(mapped) == len(pf.fragments)
-                t.test(ok, set=_ids(smask), what=f"reversal bijection k={k}")
+                t.test(ok, set=smask, what=f"reversal bijection k={k}")
 
         # large semi-normal 2-atoms are subgroups of near-normal type
         if f2.separable and f2.alpha >= f2.kappa - size + 4:
@@ -594,8 +608,8 @@ def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 )
                 t.test(
                     sub_ok and n <= 2 * norm,
-                    set=_ids(smask),
-                    observed={"atom": _ids(hm), "normalizer": norm},
+                    set=smask,
+                    observed={"atom": hm, "normalizer": norm},
                     what="semi-normal atom subgroup",
                 )
     return t
@@ -624,7 +638,7 @@ def _grp_classical(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             ab |= rows_b[v]
         asz, bsz = am.bit_count(), bm.bit_count()
         if asz + bsz > n:
-            t.test(ab == full, set={"A": _ids(am), "B": _ids(bm)}, what="full product")
+            t.test(ab == full, set={"A": am, "B": bm}, what="full product")
         if not (abelian or commute_cache[bm]):
             t.skip()
             continue
@@ -636,7 +650,7 @@ def _grp_classical(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             continue
         t.test(
             ab.bit_count() >= asz + bsz - 1,
-            set={"A": _ids(am), "B": _ids(bm)},
+            set={"A": am, "B": bm},
             observed={"AB": ab.bit_count()},
             what="lower bound",
         )

@@ -123,7 +123,7 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     # a checker that records a counterexample makes verify exit 1
     def failing(g, scan, rng):
         t = verify._Tally(g.name)
-        t.test(False, set=[0])
+        t.test(False, set=0b1)
         return t
 
     monkeypatch.setitem(verify._CHECKERS, "classical", failing)

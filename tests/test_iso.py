@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,10 +26,12 @@ from isoperim.iso import (
     check_fragment_intersection,
     check_overlap_bounds,
     check_submodularity,
+    or_table,
     subset_scan,
     verify_isoperimetric_inequality,
 )
 from isoperim.menger import kappa1_flow
+from isoperim import iso as iso_mod
 
 from oracles import adj_sets, o_kappa
 
@@ -137,9 +140,9 @@ def test_pinned_expansion_matches_full_scan():
 
 
 def test_chunked_full_scan_agrees_with_pinned():
-    # 21 vertices forces the chunked (two-pass) full scan; on a
-    # vertex-transitive graph it must agree with the single-chunk pinned
-    # scan on kappa, alpha, and the atoms through the identity
+    # 21 vertices splits the full scan into two chunks of 2^20 subsets;
+    # on a vertex-transitive graph it must agree with the single-chunk
+    # pinned scan on kappa, alpha, and the atoms through the identity
     from isoperim.catalog import frobenius21
 
     g21 = frobenius21()
@@ -151,6 +154,89 @@ def test_chunked_full_scan_agrees_with_pinned():
     assert full.kappa == pinned.kappa
     assert full.alpha == pinned.alpha
     assert tuple(m for m in full.atom_masks if m & 1) == pinned.atom_masks
+
+
+def test_or_table_matches_plain_sets():
+    def ids(mask):
+        return {v for v in range(24) if int(mask) >> v & 1}
+
+    rng = random.Random(3)
+    for m in range(6):
+        base = set(rng.sample(range(24), rng.randint(0, 4)))
+        gens = [set(rng.sample(range(24), rng.randint(0, 5))) for _ in range(m)]
+        masks = [sum(1 << v for v in gen) for gen in gens]
+        table = or_table(sum(1 << v for v in base), masks)
+        # three tables at once, one per trailing column
+        wide = or_table(np.array([0, 1 << 23, 7], dtype=np.uint32),
+                        np.array([[mk, 0, mk] for mk in masks], dtype=np.uint32))
+        assert table.shape == (1 << m,) and wide.shape == (1 << m, 3)
+        for y in range(1 << m):
+            picked = set().union(*(gens[j] for j in range(m) if y >> j & 1))
+            assert ids(table[y]) == base | picked
+            assert ids(wide[y, 0]) == picked
+            assert ids(wide[y, 1]) == {23}
+            assert ids(wide[y, 2]) == picked | {0, 1, 2}
+
+
+def _assert_scan_matches_oracle(res, oracle, collect, through=None):
+    """Compare one ScanResult with o_kappa; ``through`` keeps only the
+    oracle's fragments containing that vertex (a pinned scan)."""
+    sep, kap, frags = oracle
+    assert (res.separable, res.kappa) == (sep, kap)
+    if not sep or collect == "none":
+        return
+    alpha = min(len(f) for f in frags)
+    if through is not None:
+        frags = [f for f in frags if through in f]
+    want_atoms = {f for f in frags if len(f) == alpha}
+
+    def as_sets(masks):
+        return {frozenset(v for v in range(32) if m >> v & 1) for m in masks}
+
+    assert res.alpha == alpha
+    assert res.frag_count == len(frags)
+    if collect in ("atoms", "all"):
+        assert as_sets(res.atom_masks) == want_atoms
+        assert len(res.atom_masks) == len(want_atoms)
+    if collect == "all":
+        assert as_sets(res.frag_masks) == set(frags)
+        assert list(res.frag_masks) == sorted(res.frag_masks)
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3])
+def test_chunk_merge_matches_oracle(monkeypatch, chunk_bits):
+    # chunks of 2-8 subsets make the merge across chunks run on graphs
+    # small enough for the plain-set oracle
+    monkeypatch.setattr(iso_mod, "_CHUNK_BITS", chunk_bits)
+    levels = ("none", "alpha", "atoms", "all")
+    rng = random.Random(100 + chunk_bits)
+    for _ in range(12):
+        n = rng.randint(1, 9)
+        g = random_reflexive_digraph(rng, n)
+        ks = tuple(k for k in (1, 2, 3) if n >= 2 * k - 1)
+        oracles = {k: o_kappa(adj_sets(g), n, k) for k in ks}
+        for collect in levels:
+            res = subset_scan(g.rows, n, ks, collect=collect)
+            for k in ks:
+                _assert_scan_matches_oracle(res[k], oracles[k], collect)
+    for spec, elems in [
+        ("cyclic:7", [0, 1, 3]),
+        ("cyclic:8", [0, 1, 4]),
+        ("cyclic:9", [0, 1]),
+        ("cyclic:9", [0, 3, 6]),
+        ("symmetric:3", [0, 1]),
+        ("dihedral:4", [0, 1, 4]),
+        ("quaternion:8", [0, 2, 4]),
+        ("product:cyclic:2,cyclic:4", [0, 1, 2]),
+    ]:
+        g, _ = cay(spec, elems)
+        n = g.n
+        ks = (1, 2, 3)
+        oracles = {k: o_kappa(adj_sets(g), n, k) for k in ks}
+        for collect in levels:
+            res = subset_scan(g.rows, n, ks, pin0=True, collect=collect)
+            for k in ks:
+                _assert_scan_matches_oracle(res[k], oracles[k], collect, through=0)
 
 
 # ---------------------------------------------------------------------------

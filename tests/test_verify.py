@@ -152,6 +152,20 @@ def test_mirror_check_sees_corrupt_forward_table(monkeypatch):
     assert any(ce.get("what") == "mirror symmetry" for ce in tally.ces)
 
 
+def test_tally_turns_masks_into_ids_on_failure():
+    t = verify._Tally("G")
+    t.test(True, set=0b101, observed={"atom": 0b11})
+    t.test(False, set={"A": 0b101, "B": 0b10}, what="w",
+           observed={"atom": 0b110, "atoms": (0b1, 0b11), "j": 3})
+    t.test(False, set=0b1001)
+    assert (t.tested, t.passing) == (3, 1)
+    assert t.ces == [
+        {"group": "G", "set": {"A": [0, 2], "B": [1]}, "what": "w",
+         "observed": {"atom": [1, 2], "atoms": [[0], [0, 1]], "j": 3}},
+        {"group": "G", "set": [0, 3]},
+    ]
+
+
 # ---------------------------------------------------------------------------
 # checker sweeps (small orders; acceptance covers the stated scopes)
 # ---------------------------------------------------------------------------
