@@ -4,7 +4,8 @@ The manifest pins the sweep universe: every abelian group of order at
 most 16 (one spec per isomorphism class) and the non-abelian groups
 reachable from the named families.  ``GroupScan`` preprocesses one group
 so that per-subset Cayley rows, generation tests and connectivity scans
-run at sweep speed.
+run at sweep speed, and so that products of many set pairs run as a few
+numpy operations over its translation tables.
 """
 
 from __future__ import annotations
@@ -130,6 +131,47 @@ class GroupScan:
                 return None
             frontier = new & ~t
             t = new
+
+    # -- translation tables: every mask at once, groups of order <= 16 --
+
+    def _table(self, gens) -> np.ndarray:
+        if self.n > 16:
+            raise ValueError("translation tables fit groups of order at most 16")
+        # or_table doubles along its first axis: one row per mask, then
+        # transposed so that each element's column is contiguous
+        return np.ascontiguousarray(or_table(np.zeros_like(gens[0]), gens).T)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """left[x, B] = mask of x*B, for every mask B (uint32, n x 2^n)."""
+        return self._table(self._bitcol.T)
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """right[y, A] = mask of A*y, for every mask A (uint32, n x 2^n)."""
+        return self._table(self._bitcol)
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """inverses[M] = mask of M^-1, for every mask M (uint32, 2^n)."""
+        return self._table(self._bitcol[0, self.group.inv])
+
+    def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Masks of A*B for uint32 vectors of masks, pair by pair: the OR
+        of left[x, B] over the x in A."""
+        out = np.zeros(len(a), dtype=np.uint32)
+        for x, row in enumerate(self.left):
+            out |= np.where(a >> np.uint32(x) & 1 != 0, row[b], 0)
+        return out
+
+    def subgroups(self, s: np.ndarray) -> np.ndarray:
+        """Masks of <S> for a uint32 vector of masks S that contain 1:
+        S, S^2, S^4, ... grow until they stop changing."""
+        while True:
+            nxt = self.products(s, s)
+            if np.array_equal(nxt, s):
+                return s
+            s = nxt
 
     def scan(self, smask: int, ks: tuple[int, ...], *, rev: bool = False,
              collect: str = "alpha"):

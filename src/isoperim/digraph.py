@@ -10,6 +10,8 @@ import json
 import random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .groups import FiniteGroup, GroupError
 from .sets import ElementSet, bits_of
 
@@ -32,10 +34,14 @@ class Digraph:
     ``rows[u]`` holds the successors of u.  ``transitive`` marks graphs
     known to be vertex-transitive (set by the Cayley constructor);
     ``translations`` then carries vertex permutations acting as
-    automorphisms, one per vertex, with ``translations[a][0] == a``.
+    automorphisms, one per vertex, with ``translations[a][0] == a``;
+    they are checked at construction.  Graphs are equal when their rows,
+    ``transitive`` and ``translations`` are, since profiles computed under
+    that metadata differ from those of the plain graph.
     """
 
-    __slots__ = ("n", "rows", "transitive", "translations", "_in_rows", "_reflexive")
+    __slots__ = ("n", "rows", "transitive", "translations", "_in_rows",
+                 "_reflexive", "_hash")
 
     def __init__(
         self,
@@ -51,10 +57,14 @@ class Digraph:
         for u, r in enumerate(rows):
             if r < 0 or r & ~full:
                 raise GraphError(f"adjacency row {u} has bits outside 0..{n - 1}")
+        rows = tuple(int(r) for r in rows)
+        if translations is not None:
+            translations = _checked_translations(rows, translations)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(int(r) for r in rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "transitive", transitive)
         object.__setattr__(self, "translations", translations)
+        object.__setattr__(self, "_hash", hash((rows, transitive, translations)))
         object.__setattr__(self, "_in_rows", None)
         object.__setattr__(
             self, "_reflexive", all((r >> v) & 1 for v, r in enumerate(self.rows))
@@ -106,14 +116,47 @@ class Digraph:
         return min(r.bit_count() for r in self.in_rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Digraph) and self.rows == other.rows
+        return (
+            isinstance(other, Digraph)
+            and self._hash == other._hash
+            and self.rows == other.rows
+            and self.transitive == other.transitive
+            and self.translations == other.translations
+        )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return self._hash
 
     def __repr__(self) -> str:
         tag = ", transitive" if self.transitive else ""
         return f"Digraph(n={self.n}, arcs={sum(r.bit_count() for r in self.rows)}{tag})"
+
+
+def _checked_translations(rows: tuple[int, ...], perms) -> tuple[tuple[int, ...], ...]:
+    """``perms`` as a tuple of tuples; GraphError unless each perms[a] is a
+    permutation p of the vertices with p[0] == a and rows[p[u]] == p(rows[u])."""
+    n = len(rows)
+    try:
+        perms = tuple(map(tuple, perms))
+        p = np.array(perms, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"translations must be {n} vertex permutations: {exc}") from exc
+    ident = np.arange(n)
+    if p.shape != (n, n) or (p[:, 0] != ident).any() or (np.sort(p, axis=1) != ident).any():
+        raise GraphError(
+            f"translations must be {n} vertex permutations p_a with p_a[0] == a"
+        )
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), np.uint8)
+    adj = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+    # arc (u, v) must map to arc (p[u], p[v]); blocks of translations
+    # keep the n^3 gather near 2^20 entries
+    step = max(1, (1 << 20) // (n * n))
+    for lo in range(0, n, step):
+        q = p[lo:lo + step]
+        if (adj.take(q[:, :, None] * n + q[:, None, :]) != adj).any():
+            raise GraphError("a translation is not an automorphism of the graph")
+    return perms
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,8 @@ def subset_scan(
 ) -> dict[int, ScanResult]:
     """Scan every subset X (optionally only X containing vertex 0).
 
-    ``rows`` must be reflexive adjacency masks.  Returns per requested k
-    the exact connectivity data at the ``collect`` level: "none" (kappa
+    ``rows`` must be reflexive adjacency masks.  Returns per requested
+    (distinct) k the exact connectivity data at the ``collect`` level: "none" (kappa
     and separability), "alpha" (plus atom cardinality and fragment
     count), "atoms" (plus atom masks), "all" (plus every fragment mask).
 
@@ -89,6 +89,8 @@ def subset_scan(
     """
     if collect not in ("none", "alpha", "atoms", "all"):
         raise ValueError(f"unknown collect level {collect!r}")
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"repeated k in {ks!r}")
     free = rows[1:n] if pin0 else rows[:n]
     lo = min(len(free), _CHUNK_BITS)
     low = or_table(rows[0] if pin0 else 0, free[:lo])

@@ -5,6 +5,15 @@ asserts its conclusion exactly, and tallies tested/passing/skipped.  A
 counterexample is an implementation bug by contract, never new
 mathematics.  Reports are deterministic for a fixed (catalog, seed,
 max_order) regardless of worker count; only ``elapsed`` varies.
+
+The set-pair checkers draw their (A, B) pairs as two mask vectors: every
+pair, A outer and B inner, up to order ``_EXHAUSTIVE_PAIR_ORDER``, and
+above it ``_PAIR_SAMPLES`` pairs from the per-(theorem, group) seeded
+``random.Random``, A drawn before B.  They compute products, subgroups and
+coset parts for the whole vector from ``GroupScan``'s translation tables,
+count the passing checks in bulk, and replay only the failures through
+``_Tally.test`` in (pair, check) order, so the counterexamples kept, their
+order and the per-group cap are those of a pair-by-pair loop.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+
+import numpy as np
 
 from . import iso
 from .catalog import GroupScan, build, entries, frobenius21
@@ -128,16 +139,42 @@ def _instance_seed(seed: int, theorem: str, spec: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _pair_iter(n: int, rng: random.Random):
-    """Nonempty (A, B) mask pairs: exhaustive for small n, seeded sample above."""
+def _pairs(n: int, rng: random.Random, odd_first: bool = False):
+    """Nonempty (A, B) mask pairs as two uint32 vectors: every pair, A outer
+    and B inner, up to order _EXHAUSTIVE_PAIR_ORDER, and _PAIR_SAMPLES seeded
+    draws above it, A before B in each.  With ``odd_first`` A contains 1."""
     full = (1 << n) - 1
     if n <= _EXHAUSTIVE_PAIR_ORDER:
-        for a in range(1, full + 1):
-            for b in range(1, full + 1):
-                yield a, b
-    else:
-        for _ in range(_PAIR_SAMPLES):
-            yield rng.randrange(1, full + 1), rng.randrange(1, full + 1)
+        firsts = np.arange(1, full + 1, 2 if odd_first else 1, dtype=np.uint32)
+        seconds = np.arange(1, full + 1, dtype=np.uint32)
+        return np.repeat(firsts, len(seconds)), np.tile(seconds, len(firsts))
+    lo = 0 if odd_first else 1
+    draws = np.array(
+        [rng.randrange(lo if i % 2 == 0 else 1, full + 1)
+         for i in range(2 * _PAIR_SAMPLES)],
+        dtype=np.uint32,
+    )
+    return draws[0::2] | np.uint32(odd_first), draws[1::2]
+
+
+def _size(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).astype(np.int64)
+
+
+def _tally_pairs(t: _Tally, checks) -> None:
+    """Tally pair checks in bulk.  ``checks`` lists, in the order the checks
+    run within one pair, ``(applies, ok, ce)``: bool vectors over the pairs
+    and ``ce(i)``, the counterexample fields of pair i.  Passes are counted
+    at once; failures are replayed through ``t.test`` in (pair, check)
+    order, so the counterexamples kept are those a pair-by-pair loop keeps."""
+    failures = []
+    for order, (applies, ok, ce) in enumerate(checks):
+        passed = int(np.count_nonzero(applies & ok))
+        t.tested += passed
+        t.passing += passed
+        failures += [(i, order, ce) for i in np.flatnonzero(applies & ~ok).tolist()]
+    for i, _, ce in sorted(failures, key=lambda f: f[:2]):
+        t.test(False, **ce(i))
 
 
 def _left_stab_size(g: FiniteGroup, hm: int) -> int:
@@ -247,45 +284,47 @@ def _grp_olson(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         )
         if found:
             t.bump("equality_instances")
-    # product bounds over pairs
-    k_cache: dict[int, tuple[int, list[int]]] = {}
-    row_cache: dict[int, list[int]] = {}
-    for am, bm in _pair_iter(n, rng):
-        if bm not in k_cache:
-            km = closure_mask(g, product_mask(g, bm, inverse_mask(g, bm)))
-            rows_b = [elem_mul_mask(g, x, bm) for x in range(n)]
-            k_cache[bm] = (km, rows_b)
-            # |B^j| bound, checked once per B: sizes grow until they hit |K|
-            cur = bm
-            j = 1
-            ok8 = True
-            while True:
-                if 2 * cur.bit_count() < min(2 * km.bit_count(), (j + 1) * bm.bit_count()):
-                    ok8 = False
-                    break
-                nxt = 0
-                for v in bits_of(cur):
-                    nxt |= rows_b[v]
-                if nxt.bit_count() == cur.bit_count():
-                    break
-                cur = nxt
-                j += 1
-            t.test(ok8, set={"B": bm}, observed={"j": j}, what="power bound")
-        km, rows_b = k_cache[bm]
-        ab = 0
-        for v in bits_of(am):
-            ab |= rows_b[v]
-        ak = product_mask(g, am, km)
-        ok9 = 2 * ab.bit_count() >= min(
-            2 * ak.bit_count(), 2 * am.bit_count() + bm.bit_count()
-        )
-        t.test(
-            ok9,
-            set={"A": am, "B": bm},
-            observed={"AB": ab.bit_count()},
-            what="product bound",
-        )
+    _olson_pairs(g, scan, rng, t)
     return t
+
+
+def _power_failures(scan: GroupScan, b: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per B (K = <BB^-1>), the first j with 2|B^j| < min(2|K|, (j+1)|B|)
+    while B^j still grows, or 0 when there is none."""
+    size_b, size_k = _size(b), _size(k)
+    cur, j = b, 1
+    live = np.ones(len(b), dtype=bool)
+    fail_j = np.zeros(len(b), dtype=np.int64)
+    while live.any():
+        bad = live & (2 * _size(cur) < np.minimum(2 * size_k, (j + 1) * size_b))
+        fail_j[bad] = j
+        nxt = scan.products(cur, b)
+        live &= ~bad & (_size(nxt) != _size(cur))
+        cur = nxt
+        j += 1
+    return fail_j
+
+
+def _olson_pairs(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
+    """|B^j| >= min(|K|, (j+1)|B|/2) once per B, at its first pair, and
+    |AB| >= min(|AK|, |A|+|B|/2) for every pair, with K = <BB^-1>."""
+    a, b = _pairs(g.order, rng)
+    ub, first, which = np.unique(b, return_index=True, return_inverse=True)
+    kb = scan.subgroups(scan.products(ub, scan.inverses[ub]))
+    fail_j = _power_failures(scan, ub, kb)[which]
+    first_pair = np.zeros(len(a), dtype=bool)
+    first_pair[first] = True
+    ab = scan.products(a, b)
+    ak = scan.products(a, kb[which])
+    size_ab = _size(ab)
+    _tally_pairs(t, [
+        (first_pair, fail_j == 0, lambda i: {
+            "set": {"B": int(b[i])}, "observed": {"j": int(fail_j[i])},
+            "what": "power bound"}),
+        (True, 2 * size_ab >= np.minimum(2 * _size(ak), 2 * _size(a) + _size(b)),
+         lambda i: {"set": {"A": int(a[i]), "B": int(b[i])},
+                    "observed": {"AB": int(size_ab[i])}, "what": "product bound"}),
+    ])
 
 
 def _grp_orderbase(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
@@ -318,60 +357,51 @@ def _grp_orderbase(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     return t
 
 
+def _deficient_parts(scan: GroupScan, s: np.ndarray, a: np.ndarray,
+                     k: np.ndarray) -> np.ndarray:
+    """W per pair (K = <S>): how many parts A & xK of A, x the lowest
+    element of A left, have a product with S smaller than K."""
+    size_k = _size(k)
+    w = np.zeros(len(a), dtype=np.int64)
+    rest = a.copy()
+    while rest.any():
+        live = rest != 0
+        x = np.minimum(np.bitwise_count((rest & -rest) - np.uint32(1)), scan.n - 1)
+        coset = scan.left[x, k]
+        part = rest & coset
+        rest &= ~coset
+        w += live & (_size(scan.products(part, s)) < size_k)
+    return w
+
+
 def _grp_coset_deficiency(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     """At most (|AS|-|A|)/kappa_1(S) parts of a coset decomposition of A
     have a deficient product with S."""
     t = _Tally(g.name)
     n = g.order
-    full = (1 << n) - 1
-    kappa_cache: dict[int, int] = {}
-    hull_cache: dict[int, int] = {}
-    rows_cache: dict[int, list[int]] = {}
-
-    if n <= _EXHAUSTIVE_PAIR_ORDER:
-        pairs = (
-            (sm, am)
-            for sm in range(1, full + 1, 2)
-            for am in range(1, full + 1)
-        )
-    else:
-        pairs = (
-            (rng.randrange(0, full + 1) | 1, rng.randrange(1, full + 1))
-            for _ in range(_PAIR_SAMPLES)
-        )
-    for sm, am in pairs:
-        if sm not in hull_cache:
-            hull_cache[sm] = scan.hull(sm)
-            rows_cache[sm] = scan.rows(sm)
-        km = hull_cache[sm]
-        if km == 1:
-            t.skip()
-            continue
-        if sm not in kappa_cache:
-            kappa_cache[sm] = _kappa_of_subset(g, scan, sm, 1)
-        kap = kappa_cache[sm]
-        rows = rows_cache[sm]
-        k_size = km.bit_count()
-        # left K-decomposition of A
-        w = 0
-        a_s = 0
-        rest = am
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            coset = elem_mul_mask(g, x, km)
-            part = rest & coset
-            rest &= ~coset
-            part_s = 0
-            for v in bits_of(part):
-                part_s |= rows[v]
-            a_s |= part_s
-            if part_s.bit_count() < k_size:
-                w += 1
-        t.test(
-            w * kap <= a_s.bit_count() - am.bit_count(),
-            set={"S": sm, "A": am},
-            observed={"W": w, "kappa1": kap},
-        )
+    s, a = _pairs(n, rng, odd_first=True)
+    k = scan.subgroups(s)
+    trivial = k == 1
+    t.skip(int(np.count_nonzero(trivial)))
+    s, a, k = s[~trivial], a[~trivial], k[~trivial]
+    # kappa_1 of S inside <S>: one sweep for the generating S, one scan
+    # per distinct S for the others
+    kap = np.zeros(len(s), dtype=np.int64)
+    gen = k == (1 << n) - 1
+    if gen.any():
+        swept = np.array([res[1].kappa for _, res in scan.sweep((1,), "none")])
+        kap[gen] = swept[s[gen] >> 1]
+    if not gen.all():
+        others, where = np.unique(s[~gen], return_inverse=True)
+        kap[~gen] = np.array(
+            [_kappa_of_subset(g, scan, sm, 1) for sm in others.tolist()]
+        )[where]
+    w = _deficient_parts(scan, s, a, k)
+    _tally_pairs(t, [
+        (True, w * kap <= _size(scan.products(a, s)) - _size(a), lambda i: {
+            "set": {"S": int(s[i]), "A": int(a[i])},
+            "observed": {"W": int(w[i]), "kappa1": int(kap[i])}}),
+    ])
     return t
 
 
@@ -417,23 +447,28 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                         observed={"atom": hm},
                         what="2-atom size",
                     )
-    # critical pairs (Vosper-type structure for |B| <= p(G))
-    for am, bm in _pair_iter(n, rng):
-        if not (am & 1 and bm & 1):
-            continue
-        asz, bsz = am.bit_count(), bm.bit_count()
-        if asz < 2 or bsz < 2 or bsz > p:
-            continue
-        km = scan.hull(bm)
-        ab = product_mask(g, am, bm)
-        if ab.bit_count() != asz + bsz - 1 or ab.bit_count() > km.bit_count() - 1:
-            continue
-        if asz + bsz == km.bit_count():
-            inv_a = inverse_mask(g, am)
-            target = km & ~bm
-            found = any(
-                mask_mul_elem(g, inv_a, a) == target for a in range(n)
-            )
+    _small_sets_pairs(g, scan, rng, t)
+    return t
+
+
+def _small_sets_pairs(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
+    """Critical pairs (Vosper-type structure for |B| <= p(G)): pairs with
+    |AB| = |A|+|B|-1 < |<B>| are complement pairs or progressions with a
+    common ratio."""
+    n = g.order
+    a, b = _pairs(n, rng)
+    size_a, size_b = _size(a), _size(b)
+    keep = ((a & b & 1) != 0) & (size_a >= 2) & (size_b >= 2)
+    keep &= size_b <= min_subgroup_order(g)
+    a, b, size_a, size_b = a[keep], b[keep], size_a[keep], size_b[keep]
+    k = scan.subgroups(b)
+    size_ab = _size(scan.products(a, b))
+    critical = (size_ab == size_a + size_b - 1) & (size_ab <= _size(k) - 1)
+    for am, bm, km in zip(a[critical].tolist(), b[critical].tolist(),
+                          k[critical].tolist()):
+        if am.bit_count() + bm.bit_count() == km.bit_count():
+            # A^-1 a = K \ B for some a
+            found = bool((scan.right[:, scan.inverses[am]] == km & ~bm).any())
             t.test(found, set={"A": am, "B": bm}, what="complement pair")
         else:
             ra = set(progression_ratios(g, ElementSet(n, am)))
@@ -452,7 +487,6 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 )
                 if common:
                     t.bump("pairs_translated")
-    return t
 
 
 def _grp_abelian_two_atoms(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
@@ -620,40 +654,31 @@ def _grp_classical(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     and AB = G as soon as |A|+|B| > |G|."""
     t = _Tally(g.name)
     n = g.order
-    full = (1 << n) - 1
-    abelian = g.abelian
-    commute_cache: dict[int, bool] = {}
-    rows_cache: dict[int, list[int]] = {}
-    for am, bm in _pair_iter(n, rng):
-        if bm not in rows_cache:
-            rows_cache[bm] = [elem_mul_mask(g, x, bm) for x in range(n)]
-            commute_cache[bm] = abelian or all(
-                g.table[x][y] == g.table[y][x]
-                for x in bits_of(bm)
-                for y in bits_of(bm)
-            )
-        rows_b = rows_cache[bm]
-        ab = 0
-        for v in bits_of(am):
-            ab |= rows_b[v]
-        asz, bsz = am.bit_count(), bm.bit_count()
-        if asz + bsz > n:
-            t.test(ab == full, set={"A": am, "B": bm}, what="full product")
-        if not (abelian or commute_cache[bm]):
-            t.skip()
-            continue
-        aperiodic = not any(
-            mask_mul_elem(g, ab, x) == ab for x in range(1, n)
-        )
-        if not aperiodic:
-            t.skip()
-            continue
-        t.test(
-            ab.bit_count() >= asz + bsz - 1,
-            set={"A": am, "B": bm},
-            observed={"AB": ab.bit_count()},
-            what="lower bound",
-        )
+    a, b = _pairs(n, rng)
+    ab = scan.products(a, b)
+    size_a, size_b, size_ab = _size(a), _size(b), _size(ab)
+    # aperiodic: AB x != AB for every x != 1
+    eligible = np.ones(len(a), dtype=bool)
+    for row in scan.right[1:]:
+        eligible &= row[ab] != ab
+    if not g.abelian:
+        # B commutes when each x in B centralizes all of B
+        tbl = np.array(g.table)
+        for x, same in enumerate(tbl == tbl.T):
+            centralizer = np.uint32(sum(1 << y for y in np.flatnonzero(same).tolist()))
+            eligible &= (b >> np.uint32(x) & 1 == 0) | (b & ~centralizer == 0)
+    t.skip(len(a) - int(np.count_nonzero(eligible)))
+
+    def pair(i):
+        return {"A": int(a[i]), "B": int(b[i])}
+
+    _tally_pairs(t, [
+        (size_a + size_b > n, ab == (1 << n) - 1,
+         lambda i: {"set": pair(i), "what": "full product"}),
+        (eligible, size_ab >= size_a + size_b - 1,
+         lambda i: {"set": pair(i), "observed": {"AB": int(size_ab[i])},
+                    "what": "lower bound"}),
+    ])
     return t
 
 

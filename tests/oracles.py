@@ -3,6 +3,14 @@
 Everything here works on plain Python sets and itertools enumeration,
 deliberately avoiding the bitmask/numpy machinery under test.  Slow and
 obviously correct; used to freeze expected values and to cross-check.
+
+The pair-checker oracles at the end are the exception: they are the
+scalar pair loops of the ``olson``, ``classical``, ``coset_deficiency``
+and ``small_sets`` checkers, one pair at a time over the plain mask
+functions of ``isoperim.groups`` (each checked against ``o_product`` and
+``o_closure``), tallying into the checker's own ``_Tally``.  Each takes
+``(group, GroupScan, rng, tally)``; only ``o_coset_deficiency`` reads the
+scan, for kappa_1.
 """
 
 import itertools
@@ -96,3 +104,176 @@ def o_literal_orderbase_zone(n):
     of the order-of-basis bound is 1, and S^1 = S is not G.
     """
     return sum(math.comb(n - 1, s - 1) for s in range(1, n) if 3 * s > 2 * n)
+
+
+# ---------------------------------------------------------------------------
+# scalar pair loops of the set-pair checkers
+# ---------------------------------------------------------------------------
+
+_EXHAUSTIVE_PAIR_ORDER = 8
+_PAIR_SAMPLES = 10_000
+
+
+def o_pair_iter(n, rng):
+    """Nonempty (A, B) mask pairs: exhaustive for small n, seeded sample above."""
+    full = (1 << n) - 1
+    if n <= _EXHAUSTIVE_PAIR_ORDER:
+        for a in range(1, full + 1):
+            for b in range(1, full + 1):
+                yield a, b
+    else:
+        for _ in range(_PAIR_SAMPLES):
+            yield rng.randrange(1, full + 1), rng.randrange(1, full + 1)
+
+
+def _bits(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def o_olson_pairs(g, scan, rng, t):
+    from isoperim.groups import closure_mask, elem_mul_mask, inverse_mask, product_mask
+
+    n = g.order
+    k_cache = {}
+    for am, bm in o_pair_iter(n, rng):
+        if bm not in k_cache:
+            km = closure_mask(g, product_mask(g, bm, inverse_mask(g, bm)))
+            rows_b = [elem_mul_mask(g, x, bm) for x in range(n)]
+            k_cache[bm] = (km, rows_b)
+            # |B^j| bound, checked once per B: sizes grow until they hit |K|
+            cur = bm
+            j = 1
+            ok8 = True
+            while True:
+                if 2 * cur.bit_count() < min(2 * km.bit_count(), (j + 1) * bm.bit_count()):
+                    ok8 = False
+                    break
+                nxt = 0
+                for v in _bits(cur):
+                    nxt |= rows_b[v]
+                if nxt.bit_count() == cur.bit_count():
+                    break
+                cur = nxt
+                j += 1
+            t.test(ok8, set={"B": bm}, observed={"j": j}, what="power bound")
+        km, rows_b = k_cache[bm]
+        ab = 0
+        for v in _bits(am):
+            ab |= rows_b[v]
+        ak = product_mask(g, am, km)
+        ok9 = 2 * ab.bit_count() >= min(
+            2 * ak.bit_count(), 2 * am.bit_count() + bm.bit_count()
+        )
+        t.test(
+            ok9,
+            set={"A": am, "B": bm},
+            observed={"AB": ab.bit_count()},
+            what="product bound",
+        )
+
+
+def o_classical(g, scan, rng, t):
+    from isoperim.groups import elem_mul_mask, mask_mul_elem
+
+    n = g.order
+    full = (1 << n) - 1
+    abelian = g.abelian
+    for am, bm in o_pair_iter(n, rng):
+        ab = 0
+        for v in _bits(am):
+            ab |= elem_mul_mask(g, v, bm)
+        asz, bsz = am.bit_count(), bm.bit_count()
+        if asz + bsz > n:
+            t.test(ab == full, set={"A": am, "B": bm}, what="full product")
+        commute = abelian or all(
+            g.table[x][y] == g.table[y][x] for x in _bits(bm) for y in _bits(bm)
+        )
+        if not commute:
+            t.skip()
+            continue
+        if any(mask_mul_elem(g, ab, x) == ab for x in range(1, n)):
+            t.skip()
+            continue
+        t.test(
+            ab.bit_count() >= asz + bsz - 1,
+            set={"A": am, "B": bm},
+            observed={"AB": ab.bit_count()},
+            what="lower bound",
+        )
+
+
+def o_coset_deficiency(g, scan, rng, t):
+    from isoperim.groups import closure_mask, elem_mul_mask, product_mask
+    from isoperim.verify import _kappa_of_subset
+
+    n = g.order
+    full = (1 << n) - 1
+    if n <= _EXHAUSTIVE_PAIR_ORDER:
+        pairs = ((sm, am) for sm in range(1, full + 1, 2) for am in range(1, full + 1))
+    else:
+        pairs = (
+            (rng.randrange(0, full + 1) | 1, rng.randrange(1, full + 1))
+            for _ in range(_PAIR_SAMPLES)
+        )
+    kappa_cache = {}
+    for sm, am in pairs:
+        km = closure_mask(g, sm)
+        if km == 1:
+            t.skip()
+            continue
+        if sm not in kappa_cache:
+            kappa_cache[sm] = _kappa_of_subset(g, scan, sm, 1)
+        kap = kappa_cache[sm]
+        # left K-decomposition of A
+        w = 0
+        rest = am
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            coset = elem_mul_mask(g, x, km)
+            part = rest & coset
+            rest &= ~coset
+            if product_mask(g, part, sm).bit_count() < km.bit_count():
+                w += 1
+        t.test(
+            w * kap <= product_mask(g, am, sm).bit_count() - am.bit_count(),
+            set={"S": sm, "A": am},
+            observed={"W": w, "kappa1": kap},
+        )
+
+
+def o_small_sets_pairs(g, scan, rng, t):
+    from isoperim.groups import (closure_mask, inverse_mask, mask_mul_elem,
+                                 min_subgroup_order, product_mask, progression_ratios)
+    from isoperim.sets import ElementSet
+
+    n = g.order
+    p = min_subgroup_order(g)
+    for am, bm in o_pair_iter(n, rng):
+        if not (am & 1 and bm & 1):
+            continue
+        asz, bsz = am.bit_count(), bm.bit_count()
+        if asz < 2 or bsz < 2 or bsz > p:
+            continue
+        km = closure_mask(g, bm)
+        ab = product_mask(g, am, bm)
+        if ab.bit_count() != asz + bsz - 1 or ab.bit_count() > km.bit_count() - 1:
+            continue
+        if asz + bsz == km.bit_count():
+            inv_a = inverse_mask(g, am)
+            target = km & ~bm
+            found = any(mask_mul_elem(g, inv_a, a) == target for a in range(n))
+            t.test(found, set={"A": am, "B": bm}, what="complement pair")
+        else:
+            ra = set(progression_ratios(g, ElementSet(n, am)))
+            rb = set(progression_ratios(g, ElementSet(n, bm)))
+            if ra & rb:
+                t.test(True)
+                t.bump("pairs_literal")
+            else:
+                ra_t = set(progression_ratios(g, ElementSet(n, am), translated=True))
+                rb_t = set(progression_ratios(g, ElementSet(n, bm), translated=True))
+                common = ra_t & rb_t
+                t.test(bool(common), set={"A": am, "B": bm},
+                       what="no common progression ratio")
+                if common:
+                    t.bump("pairs_translated")

@@ -73,6 +73,55 @@ def test_translations_are_automorphisms():
         assert {(perm[u], perm[v]) for u, v in arcs} == arcs
 
 
+def test_translations_validated():
+    plain = random_reflexive_digraph(random.Random(4), 18)
+    cyclic = tuple(tuple((a + u) % 18 for u in range(18)) for a in range(18))
+    with pytest.raises(GraphError, match="automorphism"):
+        Digraph(plain.rows, transitive=True, translations=cyclic)
+    g, z = cay("dihedral:4", [0, 1, 4])
+    rows = g.rows
+    with pytest.raises(GraphError, match="permutations"):
+        Digraph(rows, translations=z.table[:7])  # one short
+    swapped = list(map(list, z.table))
+    swapped[3][0], swapped[3][1] = swapped[3][1], swapped[3][0]
+    with pytest.raises(GraphError, match="permutations"):
+        Digraph(rows, translations=swapped)  # p_3[0] != 3
+    doubled = list(map(list, z.table))
+    doubled[2][5] = doubled[2][6]
+    with pytest.raises(GraphError, match="permutations"):
+        Digraph(rows, translations=doubled)  # not a permutation
+    with pytest.raises(GraphError, match="permutations"):
+        Digraph(rows, translations=list(range(8)))  # not a sequence of sequences
+    # left translations of D4 are automorphisms, given as lists or tuples
+    assert Digraph(rows, translations=[list(p) for p in z.table]) == Digraph(
+        rows, translations=z.table)
+
+
+def test_profile_cache_keeps_metadata_apart():
+    # a profile computed under transitive=True must not be served to the
+    # equal-rowed plain graph
+    from isoperim import omega
+    from isoperim.iso import _profile_impl
+
+    plain = random_reflexive_digraph(random.Random(4), 18)
+    lie = Digraph(plain.rows, transitive=True)
+    _profile_impl.cache_clear()
+    own = omega(plain, 1)
+    _profile_impl.cache_clear()
+    assert omega(lie, 1) != own  # counts atoms through vertex 0 only
+    assert omega(plain, 1) == own == 0
+    assert plain != lie and plain == Digraph(plain.rows)
+    assert hash(plain) == hash(Digraph(plain.rows))
+    g, z6 = cay("cyclic:6", [0, 1])
+    variants = [g, Digraph(g.rows), Digraph(g.rows, transitive=True),
+                Digraph(g.rows, translations=z6.table)]
+    for i, u in enumerate(variants):
+        for v in variants[i + 1:]:
+            assert u != v and hash(u) != hash(v)
+    assert g == cayley_graph(z6, z6.subset([0, 1]))
+    assert hash(g) == hash(cayley_graph(z6, z6.subset([0, 1])))
+
+
 # ---------------------------------------------------------------------------
 # boundary calculus
 # ---------------------------------------------------------------------------

@@ -178,6 +178,16 @@ def test_or_table_matches_plain_sets():
             assert ids(wide[y, 2]) == picked | {0, 1, 2}
 
 
+def test_subset_scan_rejects_repeated_k():
+    z7 = make_group("cyclic:7")
+    g = cayley_graph(z7, z7.subset([0, 1, 3]))
+    assert subset_scan(g.rows, 7, (1,), collect="all")[1].frag_count == 14
+    with pytest.raises(ValueError, match="repeated k"):
+        subset_scan(g.rows, 7, (1, 1), collect="all")
+    with pytest.raises(ValueError, match="repeated k"):
+        subset_scan(g.rows, 7, (1, 2, 1), pin0=True, collect="none")
+
+
 def _assert_scan_matches_oracle(res, oracle, collect, through=None):
     """Compare one ScanResult with o_kappa; ``through`` keeps only the
     oracle's fragments containing that vertex (a pinned scan)."""
