@@ -3,9 +3,12 @@
 The manifest pins the sweep universe: every abelian group of order at
 most 16 (one spec per isomorphism class) and the non-abelian groups
 reachable from the named families.  ``GroupScan`` preprocesses one group
-so that per-subset Cayley rows, generation tests and connectivity scans
-run at sweep speed, and so that products of many set pairs run as a few
-numpy operations over its translation tables.
+so that generation tests and connectivity scans run at sweep speed, and
+so that products and powers of many sets run as a few numpy operations
+over its translation tables.  It adds no second copy of a primitive:
+Cayley rows are ``groups.elem_mul_mask``, ``hull`` is
+``groups.closure_mask``, and the sweep's image tables are slices of
+``right``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from importlib import resources
 
 import numpy as np
 
-from .groups import FiniteGroup, inverse_mask, make_group
+from .groups import FiniteGroup, closure_mask, elem_mul_mask, inverse_mask, make_group
 from .iso import ScanResult, or_table, subset_scan
-from .sets import bits_of
 
 _BLOCK_BITS = 16  # GroupScan.sweep reduces at most 2^16 (S, X) entries at once
 
@@ -77,21 +79,11 @@ class GroupScan:
 
     def rows(self, smask: int) -> list[int]:
         """Cayley adjacency rows for S: rows[x] = mask of x*S."""
-        idx = list(bits_of(smask))
-        return np.bitwise_or.reduce(self._bitcol[:, idx], axis=1).tolist()
+        return [elem_mul_mask(self.group, x, smask) for x in range(self.n)]
 
     def hull(self, smask: int) -> int:
-        """Mask of <S> for S containing the identity."""
-        rows = self.rows(smask)
-        t = smask
-        frontier = smask
-        while frontier:
-            add = 0
-            for v in bits_of(frontier):
-                add |= rows[v]
-            frontier = add & ~t
-            t |= frontier
-        return t
+        """Mask of <S>."""
+        return closure_mask(self.group, smask)
 
     @cached_property
     def maximal_subgroups(self) -> tuple[int, ...]:
@@ -109,28 +101,6 @@ class GroupScan:
     def generates(self, smask: int) -> bool:
         """<S> = G, i.e. no maximal subgroup contains S."""
         return all(smask & ~m for m in self.maximal_subgroups)
-
-    def power_steps_to_full(self, smask: int) -> int | None:
-        """Smallest j with S^j = G (S contains 1), or None if <S> != G."""
-        full = (1 << self.n) - 1
-        rows = self.rows(smask)
-        t = smask
-        if t == full:
-            return 1
-        frontier = smask
-        j = 1
-        while True:
-            add = 0
-            for v in bits_of(frontier):
-                add |= rows[v]
-            new = t | add
-            j += 1
-            if new == full:
-                return j
-            if new == t:
-                return None
-            frontier = new & ~t
-            t = new
 
     # -- translation tables: every mask at once, groups of order <= 16 --
 
@@ -164,6 +134,23 @@ class GroupScan:
             out |= np.where(a >> np.uint32(x) & 1 != 0, row[b], 0)
         return out
 
+    def powers(self, b: np.ndarray):
+        """Yield ``(j, |B^j|, growing)`` for j = 1, 2, ... over a uint32
+        vector of masks B, while some B^j still grows; ``growing`` marks the
+        B with |B| < |B^2| < ... < |B^j|.  Once B^j stops growing it stays
+        the same size for good."""
+        cur = b
+        size = np.bitwise_count(cur).astype(np.int64)
+        growing = np.ones(len(b), dtype=bool)
+        j = 1
+        while growing.any():
+            yield j, size, growing
+            cur = self.products(cur, b)
+            nxt = np.bitwise_count(cur).astype(np.int64)
+            growing = growing & (nxt != size)
+            size = nxt
+            j += 1
+
     def subgroups(self, s: np.ndarray) -> np.ndarray:
         """Masks of <S> for a uint32 vector of masks S that contain 1:
         S, S^2, S^4, ... grow until they stop changing."""
@@ -182,9 +169,10 @@ class GroupScan:
 
     def image_table(self, rev: bool = False) -> np.ndarray:
         """T[s, y] = mask of X_y*s (X_y*s^-1 if rev), over the pinned sets
-        X_y = {1} u {x : bit x-1 of y}."""
-        cols = self._bitcol[:, self.group.inv] if rev else self._bitcol
-        return np.ascontiguousarray(or_table(cols[0], cols[1:]).T)
+        X_y = {1} u {x : bit x-1 of y}: the odd columns of ``right``, as a
+        fresh copy."""
+        rows = self.group.inv if rev else slice(None)
+        return np.ascontiguousarray(self.right[rows, 1::2])
 
     def sweep(self, ks: tuple[int, ...], collect: str, rev: bool = False):
         """Pinned connectivity scans of Cay(G, S), or of its reverse, for

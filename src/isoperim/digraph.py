@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupError
+from .groups import FiniteGroup, GroupError, elem_mul_mask
 from .sets import ElementSet, bits_of
 
 FWD = "fwd"
@@ -31,23 +31,21 @@ def _check_sign(sign: str) -> None:
 class Digraph:
     """Directed graph on vertices 0..n-1 with bitmask adjacency rows.
 
-    ``rows[u]`` holds the successors of u.  ``transitive`` marks graphs
-    known to be vertex-transitive (set by the Cayley constructor);
-    ``translations`` then carries vertex permutations acting as
-    automorphisms, one per vertex, with ``translations[a][0] == a``;
-    they are checked at construction.  Graphs are equal when their rows,
-    ``transitive`` and ``translations`` are, since profiles computed under
-    that metadata differ from those of the plain graph.
+    ``rows[u]`` holds the successors of u.  ``translations``, when given
+    (the Cayley constructor does), carries vertex permutations acting as
+    automorphisms, one per vertex, with ``translations[a][0] == a``; they
+    are checked at construction, so they prove the graph vertex-transitive
+    and ``transitive`` is derived from them.  Graphs are equal when their
+    rows and ``translations`` are, since profiles pinned under the
+    translations are cached apart from those of the plain graph.
     """
 
-    __slots__ = ("n", "rows", "transitive", "translations", "_in_rows",
-                 "_reflexive", "_hash")
+    __slots__ = ("n", "rows", "translations", "_in_rows", "_reflexive", "_hash")
 
     def __init__(
         self,
         rows: Sequence[int],
         *,
-        transitive: bool = False,
         translations: tuple[tuple[int, ...], ...] | None = None,
     ):
         n = len(rows)
@@ -62,9 +60,8 @@ class Digraph:
             translations = _checked_translations(rows, translations)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "transitive", transitive)
         object.__setattr__(self, "translations", translations)
-        object.__setattr__(self, "_hash", hash((rows, transitive, translations)))
+        object.__setattr__(self, "_hash", hash((rows, translations)))
         object.__setattr__(self, "_in_rows", None)
         object.__setattr__(
             self, "_reflexive", all((r >> v) & 1 for v, r in enumerate(self.rows))
@@ -72,6 +69,11 @@ class Digraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
+
+    @property
+    def transitive(self) -> bool:
+        """Vertex-transitive, as proved by the checked translations."""
+        return self.translations is not None
 
     @property
     def reflexive(self) -> bool:
@@ -120,7 +122,6 @@ class Digraph:
             isinstance(other, Digraph)
             and self._hash == other._hash
             and self.rows == other.rows
-            and self.transitive == other.transitive
             and self.translations == other.translations
         )
 
@@ -172,27 +173,18 @@ def cayley_graph(g: FiniteGroup, s: ElementSet) -> Digraph:
         )
     if 0 not in s:
         raise GraphError("Cayley construction requires the identity in S")
-    sm = s.mask
-    rows = []
-    for x in range(g.order):
-        row = 0
-        tx = g.table[x]
-        for e in bits_of(sm):
-            row |= 1 << tx[e]
-        rows.append(row)
-    return Digraph(rows, transitive=True, translations=g.table)
+    rows = [elem_mul_mask(g, x, s.mask) for x in range(g.order)]
+    return Digraph(rows, translations=g.table)
 
 
 def reverse(g: Digraph) -> Digraph:
     """The reverse graph; translations keep acting as automorphisms."""
-    return Digraph(
-        g.in_rows, transitive=g.transitive, translations=g.translations
-    )
+    return Digraph(g.in_rows, translations=g.translations)
 
 
 def reflexive_closure(g: Digraph) -> Digraph:
     rows = [r | (1 << v) for v, r in enumerate(g.rows)]
-    return Digraph(rows, transitive=g.transitive, translations=g.translations)
+    return Digraph(rows, translations=g.translations)
 
 
 def random_reflexive_digraph(

@@ -361,18 +361,20 @@ def conjugate_mask(g: FiniteGroup, x: int, smask: int) -> int:
 
 
 def closure_mask(g: FiniteGroup, smask: int) -> int:
-    """Mask of the subgroup generated by S (identity for empty S)."""
-    h = 1  # identity
-    frontier = smask | 1
-    while True:
-        new = frontier & ~h
-        if not new:
-            return h
-        h |= new
-        nxt = 0
-        for x in bits_of(new):
-            nxt |= elem_mul_mask(g, x, h) | mask_mul_elem(g, h, x)
-        frontier = nxt
+    """Mask of the subgroup generated by S (identity for empty S).
+
+    Breadth first from s = S u {1}: each new element x adds x*s, so the
+    result is the union of the powers s^j, which in a finite group is <S>.
+    """
+    s = smask | 1
+    h = frontier = s
+    while frontier:
+        add = 0
+        for x in bits_of(frontier):
+            add |= elem_mul_mask(g, x, s)
+        frontier = add & ~h
+        h |= frontier
+    return h
 
 
 def is_subgroup_mask(g: FiniteGroup, hmask: int) -> bool:

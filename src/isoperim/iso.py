@@ -219,8 +219,7 @@ def _expand_by_translation(
 def _profile_impl(g: Digraph, k: int, sign: str) -> IsoProfile:
     rows = g.rows_for(sign)
     n = g.n
-    pinnable = g.transitive and g.translations is not None
-    use_pin = pinnable and n > 16
+    use_pin = g.transitive and n > 16
     res = subset_scan(rows, n, (k,), pin0=use_pin, collect="all")[k]
     if not res.separable:
         return IsoProfile(

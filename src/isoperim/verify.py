@@ -14,6 +14,10 @@ coset parts for the whole vector from ``GroupScan``'s translation tables,
 count the passing checks in bulk, and replay only the failures through
 ``_Tally.test`` in (pair, check) order, so the counterexamples kept, their
 order and the per-group cap are those of a pair-by-pair loop.
+``orderbase`` runs the same way over the vector of every S containing 1,
+and it and Olson's |B^j| bound read ``GroupScan.powers``.  Where kappa_k
+of an S that does not generate G is needed, it is taken in
+``iso.cayley_in_hull``, the Cayley graph of S inside <S>.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .groups import (
     product_mask,
     progression_ratios,
     seminormality,
-    subgroup_as_group,
 )
 from .sets import ElementSet, bits_of
 
@@ -177,21 +180,6 @@ def _tally_pairs(t: _Tally, checks) -> None:
         t.test(False, **ce(i))
 
 
-def _left_stab_size(g: FiniteGroup, hm: int) -> int:
-    return sum(1 for a in range(g.order) if elem_mul_mask(g, a, hm) == hm)
-
-
-def _kappa_of_subset(g: FiniteGroup, scan: GroupScan, smask: int, k: int) -> int:
-    """kappa_k(S) inside the subgroup S generates (S contains 1)."""
-    hull = scan.hull(smask)
-    if hull == (1 << g.order) - 1:
-        return scan.scan(smask, (k,), collect="none")[k].kappa
-    sub, elems = subgroup_as_group(g, ElementSet(g.order, hull))
-    pos = {e: i for i, e in enumerate(elems)}
-    s_sub = ElementSet(sub.order, [pos[e] for e in bits_of(smask)])
-    return iso.kappa(cayley_graph(sub, s_sub), k)
-
-
 # ---------------------------------------------------------------------------
 # per-group checkers
 # ---------------------------------------------------------------------------
@@ -292,16 +280,10 @@ def _power_failures(scan: GroupScan, b: np.ndarray, k: np.ndarray) -> np.ndarray
     """Per B (K = <BB^-1>), the first j with 2|B^j| < min(2|K|, (j+1)|B|)
     while B^j still grows, or 0 when there is none."""
     size_b, size_k = _size(b), _size(k)
-    cur, j = b, 1
-    live = np.ones(len(b), dtype=bool)
     fail_j = np.zeros(len(b), dtype=np.int64)
-    while live.any():
-        bad = live & (2 * _size(cur) < np.minimum(2 * size_k, (j + 1) * size_b))
+    for j, size, growing in scan.powers(b):
+        bad = growing & (fail_j == 0) & (2 * size < np.minimum(2 * size_k, (j + 1) * size_b))
         fail_j[bad] = j
-        nxt = scan.products(cur, b)
-        live &= ~bad & (_size(nxt) != _size(cur))
-        cur = nxt
-        j += 1
     return fail_j
 
 
@@ -338,22 +320,22 @@ def _grp_orderbase(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     tallied under ``literal_bound_violations``, never as a counterexample.
     """
     t = _Tally(g.name)
-    t.bump("literal_bound_violations", 0)
     n = g.order
     full = (1 << n) - 1
-    for smask in scan.subsets_with_identity():
-        steps = scan.power_steps_to_full(smask)
-        if steps is None:
-            continue
-        literal = (2 * n) // smask.bit_count() - 1
-        bound = 1 if smask == full else max(2, literal)
-        t.test(
-            steps <= bound,
-            set=smask,
-            observed={"steps": steps, "bound": bound},
-        )
-        if steps > literal:
-            t.bump("literal_bound_violations")
+    s = np.arange(1, full + 1, 2, dtype=np.uint32)
+    # steps: the first j with S^j = G, 0 when <S> != G
+    steps = np.zeros(len(s), dtype=np.int64)
+    for j, size, _ in scan.powers(s):
+        steps[(steps == 0) & (size == n)] = j
+    gen = steps > 0
+    literal = 2 * n // _size(s) - 1
+    bound = np.where(s == full, 1, np.maximum(2, literal))
+    t.bump("literal_bound_violations", int(np.count_nonzero(gen & (steps > literal))))
+    _tally_pairs(t, [
+        (gen, steps <= bound, lambda i: {
+            "set": int(s[i]),
+            "observed": {"steps": int(steps[i]), "bound": int(bound[i])}}),
+    ])
     return t
 
 
@@ -384,8 +366,8 @@ def _grp_coset_deficiency(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     trivial = k == 1
     t.skip(int(np.count_nonzero(trivial)))
     s, a, k = s[~trivial], a[~trivial], k[~trivial]
-    # kappa_1 of S inside <S>: one sweep for the generating S, one scan
-    # per distinct S for the others
+    # kappa_1 of S inside <S>: one sweep for the generating S, and the
+    # Cayley graph inside <S> for each distinct other S
     kap = np.zeros(len(s), dtype=np.int64)
     gen = k == (1 << n) - 1
     if gen.any():
@@ -394,7 +376,8 @@ def _grp_coset_deficiency(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     if not gen.all():
         others, where = np.unique(s[~gen], return_inverse=True)
         kap[~gen] = np.array(
-            [_kappa_of_subset(g, scan, sm, 1) for sm in others.tolist()]
+            [iso.kappa(iso.cayley_in_hull(g, ElementSet(n, sm))[0], 1)
+             for sm in others.tolist()]
         )[where]
     w = _deficient_parts(scan, s, a, k)
     _tally_pairs(t, [
@@ -440,7 +423,7 @@ def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 t.skip()
                 continue
             for hm in f2.atom_masks:
-                if _left_stab_size(g, hm) == 1:
+                if np.count_nonzero(scan.left[:, hm] == hm) == 1:
                     t.test(
                         hm.bit_count() <= size - 1,
                         set=smask,
@@ -535,12 +518,13 @@ def _grp_abelian_two_atoms(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
                 what="2-atom neither subgroup nor pair",
             )
         for hm in nontrivial:
-            # |H| <= kappa_2(H), and |H| = 3 when H generates
-            kap2_h = _kappa_of_subset(g, scan, hm, 2)
-            hull_h = scan.hull(hm)
-            ok = hm.bit_count() <= kap2_h
-            if hull_h == (1 << n) - 1:
-                ok = ok and hm.bit_count() == 3
+            # |H| <= kappa_2(H) inside <H>, and |H| = 3 when H generates
+            if scan.generates(hm):
+                kap2_h = scan.scan(hm, (2,), collect="none")[2].kappa
+                ok = hm.bit_count() <= kap2_h and hm.bit_count() == 3
+            else:
+                kap2_h = iso.kappa(iso.cayley_in_hull(g, ElementSet(n, hm))[0], 2)
+                ok = hm.bit_count() <= kap2_h
             t.test(
                 ok,
                 set=smask,
@@ -599,7 +583,7 @@ def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
         if symmetric and f2.separable and f2.alpha >= f2.kappa - size + 4:
             for hm in f2.atom_masks:
                 t.test(
-                    _left_stab_size(g, hm) >= 2,
+                    np.count_nonzero(scan.left[:, hm] == hm) >= 2,
                     set=smask,
                     observed={"atom": hm},
                     what="symmetric stabilizer",

@@ -4,13 +4,15 @@ Everything here works on plain Python sets and itertools enumeration,
 deliberately avoiding the bitmask/numpy machinery under test.  Slow and
 obviously correct; used to freeze expected values and to cross-check.
 
-The pair-checker oracles at the end are the exception: they are the
-scalar pair loops of the ``olson``, ``classical``, ``coset_deficiency``
-and ``small_sets`` checkers, one pair at a time over the plain mask
+The checker oracles at the end are the exception: they are the scalar
+loops of the ``olson``, ``classical``, ``coset_deficiency`` and
+``small_sets`` pair checks, one pair at a time over the plain mask
 functions of ``isoperim.groups`` (each checked against ``o_product`` and
-``o_closure``), tallying into the checker's own ``_Tally``.  Each takes
-``(group, GroupScan, rng, tally)``; only ``o_coset_deficiency`` reads the
-scan, for kappa_1.
+``o_closure``), and of ``orderbase``, one S at a time over the group
+table, tallying into the checker's own ``_Tally``.  Each takes
+``(group, GroupScan, rng, tally)`` and none reads the scan;
+``o_coset_deficiency`` takes kappa_1 inside <S> from ``o_closure`` and
+``o_kappa``.
 """
 
 import itertools
@@ -202,9 +204,44 @@ def o_classical(g, scan, rng, t):
         )
 
 
+def o_orderbase(g, scan, rng, t):
+    """S^e = G for generating S, e = max(2, floor(2n/|S|) - 1) (1 when
+    S = G): the powers of each S by repeated x*S from the group table."""
+    n = g.order
+    full = (1 << n) - 1
+    t.bump("literal_bound_violations", 0)
+    for sm in range(1, full + 1, 2):
+        rows = [0] * n
+        for x in range(n):
+            for s in _bits(sm):
+                rows[x] |= 1 << g.table[x][s]
+        cur, steps = sm, 1
+        while cur != full:
+            nxt = 0
+            for v in _bits(cur):
+                nxt |= rows[v]
+            if nxt == cur:
+                break
+            cur, steps = nxt, steps + 1
+        if cur != full:
+            continue
+        literal = 2 * n // sm.bit_count() - 1
+        bound = 1 if sm == full else max(2, literal)
+        t.test(steps <= bound, set=sm, observed={"steps": steps, "bound": bound})
+        if steps > literal:
+            t.bump("literal_bound_violations")
+
+
+def o_kappa1_in_hull(table, s):
+    """kappa_1 of Cay(<S>, S) by exhaustion, from plain sets."""
+    elems = sorted(o_closure(table, s))
+    pos = {e: i for i, e in enumerate(elems)}
+    adj = tuple({pos[table[e][x]] for x in s} for e in elems)
+    return o_kappa(adj, len(elems), 1)[1]
+
+
 def o_coset_deficiency(g, scan, rng, t):
     from isoperim.groups import closure_mask, elem_mul_mask, product_mask
-    from isoperim.verify import _kappa_of_subset
 
     n = g.order
     full = (1 << n) - 1
@@ -222,7 +259,7 @@ def o_coset_deficiency(g, scan, rng, t):
             t.skip()
             continue
         if sm not in kappa_cache:
-            kappa_cache[sm] = _kappa_of_subset(g, scan, sm, 1)
+            kappa_cache[sm] = o_kappa1_in_hull(g.table, set(_bits(sm)))
         kap = kappa_cache[sm]
         # left K-decomposition of A
         w = 0

@@ -77,7 +77,7 @@ def test_translations_validated():
     plain = random_reflexive_digraph(random.Random(4), 18)
     cyclic = tuple(tuple((a + u) % 18 for u in range(18)) for a in range(18))
     with pytest.raises(GraphError, match="automorphism"):
-        Digraph(plain.rows, transitive=True, translations=cyclic)
+        Digraph(plain.rows, translations=cyclic)
     g, z = cay("dihedral:4", [0, 1, 4])
     rows = g.rows
     with pytest.raises(GraphError, match="permutations"):
@@ -98,28 +98,34 @@ def test_translations_validated():
 
 
 def test_profile_cache_keeps_metadata_apart():
-    # a profile computed under transitive=True must not be served to the
-    # equal-rowed plain graph
+    # transitivity comes only from checked translations, so no graph can
+    # claim it falsely: omega of this digraph is 0, and counting atoms
+    # through vertex 0 alone would give 1
     from isoperim import omega
     from isoperim.iso import _profile_impl
 
     plain = random_reflexive_digraph(random.Random(4), 18)
-    lie = Digraph(plain.rows, transitive=True)
-    _profile_impl.cache_clear()
-    own = omega(plain, 1)
-    _profile_impl.cache_clear()
-    assert omega(lie, 1) != own  # counts atoms through vertex 0 only
-    assert omega(plain, 1) == own == 0
-    assert plain != lie and plain == Digraph(plain.rows)
+    assert not plain.transitive and plain == Digraph(plain.rows)
     assert hash(plain) == hash(Digraph(plain.rows))
+    with pytest.raises(TypeError):
+        Digraph(plain.rows, transitive=True)
+    assert omega(plain, 1) == 0
+    # a Cayley graph above 16 vertices is scanned pinned and expanded by
+    # its translations; the equal-rowed plain graph gets its own cache
+    # entry, scanned unpinned, with the same answer
+    g18, z18 = cay("cyclic:18", [0, 1, 5])
+    bare = Digraph(g18.rows)
+    assert g18.transitive and not bare.transitive
+    assert g18 != bare and hash(g18) != hash(bare)
+    _profile_impl.cache_clear()
+    assert omega(g18, 1) == omega(bare, 1)
+    assert _profile_impl.cache_info().currsize == 2
+    # graphs with the same rows and translations are equal, however built
     g, z6 = cay("cyclic:6", [0, 1])
-    variants = [g, Digraph(g.rows), Digraph(g.rows, transitive=True),
-                Digraph(g.rows, translations=z6.table)]
-    for i, u in enumerate(variants):
-        for v in variants[i + 1:]:
-            assert u != v and hash(u) != hash(v)
-    assert g == cayley_graph(z6, z6.subset([0, 1]))
-    assert hash(g) == hash(cayley_graph(z6, z6.subset([0, 1])))
+    assert g == Digraph(g.rows, translations=z6.table) == cayley_graph(z6, z6.subset([0, 1]))
+    assert hash(g) == hash(Digraph(g.rows, translations=z6.table))
+    assert g != Digraph(g.rows) and hash(g) != hash(Digraph(g.rows))
+    assert reverse(reverse(g)) == g
 
 
 # ---------------------------------------------------------------------------

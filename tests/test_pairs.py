@@ -26,6 +26,7 @@ from oracles import (
     o_closure,
     o_coset_deficiency,
     o_olson_pairs,
+    o_orderbase,
     o_product,
     o_small_sets_pairs,
 )
@@ -109,19 +110,21 @@ def test_pair_primitives_match_plain_functions():
             assert got == _scalar_deficient_parts(g, sm, am, km), (g.name, sm, am)
 
 
-# the scalar oracle of each pair checker; olson and small_sets also scan
+# the scalar oracle of each vector checker; olson and small_sets also scan
 # every S first, and only their pair halves are swapped for the oracle
 _ORACLES = {
     "olson": o_olson_pairs,
     "classical": o_classical,
     "coset_deficiency": o_coset_deficiency,
     "small_sets": o_small_sets_pairs,
+    "orderbase": o_orderbase,
 }
 
 
 @pytest.mark.parametrize("theorem", sorted(_ORACLES))
 def test_pair_checkers_match_scalar_oracles(theorem, monkeypatch):
-    # every group to order 7 (exhaustive pairs), and D5 (sampled pairs)
+    # every group to order 7 (exhaustive pairs), and D5 (sampled pairs);
+    # orderbase draws no pairs, and its oracle runs to order 12
     def run(spec, oracle):
         g = build(spec)
         rng = random.Random(verify._instance_seed(0, theorem, spec))
@@ -136,7 +139,10 @@ def test_pair_checkers_match_scalar_oracles(theorem, monkeypatch):
         return t
 
     total = 0
-    for spec in [e.spec for e in entries(7)] + ["dihedral:5"]:
+    specs = [e.spec for e in entries(7)] + ["dihedral:5"]
+    if theorem == "orderbase":
+        specs = [e.spec for e in entries(12)]
+    for spec in specs:
         f, s = run(spec, False), run(spec, True)
         assert (f.tested, f.passing, f.skipped, f.details, f.ces) == (
             s.tested, s.passing, s.skipped, s.details, s.ces), (theorem, spec)

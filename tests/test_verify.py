@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 from isoperim import verify
@@ -62,7 +63,9 @@ def test_groupscan_helpers():
     assert scan.generates(0b000011)  # {0,1}
     assert not scan.generates(0b000101)  # {0,2}
     assert scan.hull(0b000101) == 0b010101
-    assert scan.power_steps_to_full(0b000011) == 5
+    # {0,1}^j = {0..j}, so S^5 = G is the first full power
+    sizes = [int(size[0]) for _, size, _ in scan.powers(np.array([0b000011], dtype=np.uint32))]
+    assert sizes == [2, 3, 4, 5, 6]
     rows = scan.rows(0b000011)
     assert rows[2] == 0b001100  # 2*{0,1} = {2,3}
 
@@ -150,6 +153,40 @@ def test_mirror_check_sees_corrupt_forward_table(monkeypatch):
     monkeypatch.setattr(GroupScan, "image_table", corrupt)
     tally = verify._grp_abelian_two_atoms(g, GroupScan(g), random.Random(0))
     assert any(ce.get("what") == "mirror symmetry" for ce in tally.ces)
+
+
+def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
+    # small_sets tests 2-atoms with trivial left stabilizer {a : aH = H},
+    # and atom_coverage wants a nontrivial one for large symmetric atoms.
+    # On the catalog's real atoms both stabilizers agree wherever the
+    # checkers look, so a fake sweep hands them an H of D6 whose left
+    # stabilizer is trivial and whose right stabilizer {a : Ha = H} is not
+    import random
+
+    from isoperim.iso import ScanResult
+
+    g = build("dihedral:6")
+    n, full = g.order, (1 << g.order) - 1
+
+    def stab(ids, side):
+        prod = (lambda a, h: g.table[a][h]) if side == "left" else (lambda a, h: g.table[h][a])
+        return sum({prod(a, h) for h in ids} == ids for a in range(n))
+
+    hm = next(m for m in range(1, full, 2)
+              if stab(set(ElementSet(n, m)), "left") == 1
+              and stab(set(ElementSet(n, m)), "right") >= 2)
+    atom = ScanResult(True, 1, hm.bit_count(), (hm,), None, 1)
+
+    def sweep(self, ks, collect, rev=False):
+        yield full, {k: atom for k in ks}
+
+    monkeypatch.setattr(GroupScan, "sweep", sweep)
+    monkeypatch.setattr(verify, "_small_sets_pairs", lambda *args: None)
+    small = verify._grp_small_sets(g, GroupScan(g), random.Random(0))
+    assert (small.tested, small.passing) == (1, 1)
+    cover = verify._grp_atom_coverage(g, GroupScan(g), random.Random(0))
+    assert {"group": g.name, "set": list(range(n)), "what": "symmetric stabilizer",
+            "observed": {"atom": list(ElementSet(n, hm))}} in cover.ces
 
 
 def test_tally_turns_masks_into_ids_on_failure():
