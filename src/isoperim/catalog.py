@@ -6,9 +6,9 @@ reachable from the named families.  ``GroupScan`` preprocesses one group
 so that generation tests and connectivity scans run at sweep speed, and
 so that products and powers of many sets run as a few numpy operations
 over its translation tables.  It adds no second copy of a primitive:
-Cayley rows are ``groups.elem_mul_mask``, ``hull`` is
-``groups.closure_mask``, and the sweep's image tables are slices of
-``right``.
+Cayley rows are ``groups.elem_mul_mask``, ``hull`` and the table
+``hulls`` of every <M> come from ``groups.closure_mask`` alone, and the
+sweep's image tables are slices of ``right``.
 """
 
 from __future__ import annotations
@@ -85,22 +85,9 @@ class GroupScan:
         """Mask of <S>."""
         return closure_mask(self.group, smask)
 
-    @cached_property
-    def maximal_subgroups(self) -> tuple[int, ...]:
-        """Masks of the maximal subgroups of G.  Every subgroup is a join of
-        cyclic subgroups, so closing the cyclic ones under joins finds all."""
-        subs = {self.hull(1 | 1 << x) for x in range(self.n)}
-        new = subs
-        while new:
-            new = {self.hull(a | b) for a in new for b in subs} - subs
-            subs |= new
-        proper = [h for h in subs if h != (1 << self.n) - 1]
-        return tuple(h for h in proper
-                     if not any(o != h and h & ~o == 0 for o in proper))
-
     def generates(self, smask: int) -> bool:
-        """<S> = G, i.e. no maximal subgroup contains S."""
-        return all(smask & ~m for m in self.maximal_subgroups)
+        """<S> = G, read from ``hulls`` (groups of order at most 16)."""
+        return int(self.hulls[smask]) == (1 << self.n) - 1
 
     # -- translation tables: every mask at once, groups of order <= 16 --
 
@@ -120,6 +107,21 @@ class GroupScan:
     def right(self) -> np.ndarray:
         """right[y, A] = mask of A*y, for every mask A (uint32, n x 2^n)."""
         return self._table(self._bitcol)
+
+    @cached_property
+    def hulls(self) -> np.ndarray:
+        """hulls[M] = mask of <M>, for every mask M (uint32, 2^n).  With j
+        the top bit of M, <M> = <<M - {j}> u {j}>: each bit j closes every
+        distinct subgroup below it once."""
+        if self.n > 16:
+            raise ValueError("translation tables fit groups of order at most 16")
+        h = np.empty(1 << self.n, dtype=np.uint32)
+        h[0] = 1
+        for j in range(self.n):
+            subs, which = np.unique(h[:1 << j], return_inverse=True)
+            closed = [closure_mask(self.group, x | 1 << j) for x in subs.tolist()]
+            h[1 << j:2 << j] = np.array(closed, dtype=np.uint32)[which]
+        return h
 
     @cached_property
     def inverses(self) -> np.ndarray:
@@ -150,15 +152,6 @@ class GroupScan:
             growing = growing & (nxt != size)
             size = nxt
             j += 1
-
-    def subgroups(self, s: np.ndarray) -> np.ndarray:
-        """Masks of <S> for a uint32 vector of masks S that contain 1:
-        S, S^2, S^4, ... grow until they stop changing."""
-        while True:
-            nxt = self.products(s, s)
-            if np.array_equal(nxt, s):
-                return s
-            s = nxt
 
     def scan(self, smask: int, ks: tuple[int, ...], *, rev: bool = False,
              collect: str = "alpha"):

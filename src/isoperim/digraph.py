@@ -288,16 +288,18 @@ def to_payload(g: Digraph) -> dict:
 
 def from_payload(data: dict) -> Digraph:
     try:
-        n = int(data["n"])
-        arcs = data["arcs"]
-        declared = bool(data["reflexive"])
+        n, arcs, declared = data["n"], data["arcs"], bool(data["reflexive"])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph payload: {exc}") from exc
-    if n < 1:
-        raise GraphError("graph needs at least one vertex")
+    if type(n) is not int or n < 1:
+        raise GraphError(f"graph needs a positive integer vertex count, not {n!r}")
+    if not isinstance(arcs, list):
+        raise GraphError(f"graph payload needs a list of arcs, not {arcs!r}")
     rows = [0] * n
     for arc in arcs:
-        u, v = int(arc[0]), int(arc[1])
+        if not isinstance(arc, list) or list(map(type, arc)) != [int, int]:
+            raise GraphError(f"arc {arc!r} is not a pair of vertex numbers")
+        u, v = arc
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"arc ({u}, {v}) outside vertex range 0..{n - 1}")
         rows[u] |= 1 << v

@@ -361,19 +361,16 @@ def cayley_in_hull(g: FiniteGroup, s: ElementSet) -> tuple[Digraph, FiniteGroup]
 
 def classify(g: FiniteGroup, s: ElementSet) -> SubsetInvariants:
     """Cauchy/Vosper classification and the defect of S (inside <S>)."""
-    from .digraph import is_k_separable
-
     graph, hull_group = cayley_in_hull(g, s)
     n = graph.n
     delta = len(s)
     k1 = kappa(graph, 1)
     if n >= 3:
-        k2 = kappa(graph, 2)
-        mu = k2 - delta
+        p2 = profile(graph, 2)
+        k2, mu, two_sep = p2.kappa, p2.kappa - delta, p2.separable
     else:
-        k2 = None
-        mu = None
-    two_sep = is_k_separable(graph, 2)[0] if n >= 4 else False
+        k2 = mu = None
+        two_sep = False
     vosper = (not two_sep) or (k2 is not None and k2 >= delta)
     return SubsetInvariants(
         delta=delta,

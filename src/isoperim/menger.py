@@ -240,16 +240,15 @@ def disjoint_paths(g: Digraph, x: int, y: int, k: int) -> PathFamily:
         raise GraphError("k must be >= 0")
     if k == 0:
         return PathFamily(source=x, target=y, paths=())
-    probe = _SplitFlow(g, x, y)
-    lam = probe.run()
+    net = _SplitFlow(g, x, y)
+    lam = net.run(limit=k)
     if lam < k:
-        a, c = probe.source_side()
+        # the flow stopped short of k with no augmenting path: it is maximum
+        a, c = net.source_side()
         raise ConnectivityError(
             f"{x} is only {lam}-connected to {y}, needed {k}",
             min_cut=ElementSet(g.n, c),
         )
-    net = _SplitFlow(g, x, y)
-    net.run(limit=k)
     fam = PathFamily(
         source=x, target=y, paths=tuple(tuple(p) for p in net.decompose())
     )

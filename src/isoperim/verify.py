@@ -292,7 +292,7 @@ def _olson_pairs(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
     |AB| >= min(|AK|, |A|+|B|/2) for every pair, with K = <BB^-1>."""
     a, b = _pairs(g.order, rng)
     ub, first, which = np.unique(b, return_index=True, return_inverse=True)
-    kb = scan.subgroups(scan.products(ub, scan.inverses[ub]))
+    kb = scan.hulls[scan.products(ub, scan.inverses[ub])]
     fail_j = _power_failures(scan, ub, kb)[which]
     first_pair = np.zeros(len(a), dtype=bool)
     first_pair[first] = True
@@ -362,7 +362,7 @@ def _grp_coset_deficiency(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     t = _Tally(g.name)
     n = g.order
     s, a = _pairs(n, rng, odd_first=True)
-    k = scan.subgroups(s)
+    k = scan.hulls[s]
     trivial = k == 1
     t.skip(int(np.count_nonzero(trivial)))
     s, a, k = s[~trivial], a[~trivial], k[~trivial]
@@ -444,7 +444,7 @@ def _small_sets_pairs(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
     keep = ((a & b & 1) != 0) & (size_a >= 2) & (size_b >= 2)
     keep &= size_b <= min_subgroup_order(g)
     a, b, size_a, size_b = a[keep], b[keep], size_a[keep], size_b[keep]
-    k = scan.subgroups(b)
+    k = scan.hulls[b]
     size_ab = _size(scan.products(a, b))
     critical = (size_ab == size_a + size_b - 1) & (size_ab <= _size(k) - 1)
     for am, bm, km in zip(a[critical].tolist(), b[critical].tolist(),
@@ -710,7 +710,7 @@ def zemor_f21_witness() -> dict:
     )
     smask = hm | mask_mul_elem(g, hm, u)
     scan = GroupScan(g)
-    if not scan.generates(smask):
+    if scan.hull(smask) != (1 << n) - 1:
         return {"found": False, "reason": "S does not generate"}
     f = scan.scan(smask, (1,), collect="atoms")[1]
     r = scan.scan(smask, (1,), rev=True, collect="atoms")[1]

@@ -137,7 +137,7 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     assert recs[0]["counterexamples"]
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     r = CliRunner().invoke(main, ["iso", "kappa", "--group", "bogus:9",
                                   "--set", "0", "--k", "1"])
     assert r.exit_code == 2
@@ -149,6 +149,15 @@ def test_usage_errors_exit_2():
     r = CliRunner().invoke(main, ["menger", "connect", "--graph",
                                   "cyclic:5@0,1,2", "--x", "0", "--y", "1"])
     assert r.exit_code == 2  # adjacent pair
+    path = tmp_path / "bad.json"
+    for data in ({"n": 3, "arcs": [[0]], "reflexive": False},
+                 {"n": 3, "arcs": [["a", 1]], "reflexive": False},
+                 {"n": 3, "arcs": 5, "reflexive": False},
+                 {"n": "x", "arcs": [], "reflexive": False}):
+        path.write_text(json.dumps(data))
+        r = CliRunner().invoke(main, ["menger", "connect", "--graph", str(path),
+                                      "--x", "0", "--y", "2"])
+        assert r.exit_code == 2, (data, r.output)  # malformed graph file
 
 
 def test_byte_determinism():

@@ -233,6 +233,12 @@ def test_payload_validation():
         from_payload({"n": 2, "arcs": [[0, 0], [0, 1]], "reflexive": True})
     with pytest.raises(GraphError):
         from_payload({"arcs": []})
+    # a short, non-integer or long arc, arcs that are no list, a non-integer n
+    for arcs in ([[0]], [["a", 1]], 5, [[0, 1, 2]]):
+        with pytest.raises(GraphError):
+            from_payload({"n": 3, "arcs": arcs, "reflexive": False})
+    with pytest.raises(GraphError):
+        from_payload({"n": "x", "arcs": [], "reflexive": False})
     g = from_payload({"n": 1, "arcs": [[0, 0]], "reflexive": True})
     assert g.reflexive
 

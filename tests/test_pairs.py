@@ -95,7 +95,7 @@ def test_pair_primitives_match_plain_functions():
             assert int(scan.inverses[am]) == inverse_mask(g, am)
         # <BB^-1>, the |B^j| failures and W, once per distinct B
         ub = np.unique(b)
-        kb = scan.subgroups(scan.products(ub, scan.inverses[ub]))
+        kb = scan.hulls[scan.products(ub, scan.inverses[ub])]
         fails = verify._power_failures(scan, ub, kb).tolist()
         for bm, km, fail in zip(ub.tolist(), kb.tolist(), fails):
             assert km == closure_mask(g, product_mask(g, bm, inverse_mask(g, bm)))
@@ -103,7 +103,7 @@ def test_pair_primitives_match_plain_functions():
                 g.table, _ids(bm), {g.inv[x] for x in _ids(bm)}))
             assert fail == _scalar_power_failure(g, bm, km), (g.name, bm)
         s = b | 1
-        k = scan.subgroups(s)
+        k = scan.hulls[s]
         w = verify._deficient_parts(scan, s, a, k).tolist()
         for sm, am, km, got in zip(s.tolist(), a.tolist(), k.tolist(), w):
             assert km == closure_mask(g, sm)

@@ -9,6 +9,7 @@ reads; here each is compared with the plain-set definition in
 import random
 
 import numpy as np
+import pytest
 
 from isoperim.catalog import GroupScan, build, entries, frobenius21
 from isoperim.digraph import cayley_graph
@@ -38,13 +39,19 @@ def test_closure_matches_plain_sets():
     checked = 0
     for g, masks in cases:
         scan = GroupScan(g)
+        # the table of every <M> exists to order 16 only
+        hulls = scan.hulls if g.order <= 16 else None
         for sm in masks:
             want = _mask(o_closure(g.table, _ids(sm)))
             assert closure_mask(g, sm) == want, (g.name, sm)
             if sm & 1:
                 assert scan.hull(sm) == want, (g.name, sm)
+            if hulls is not None:
+                assert int(hulls[sm]) == want, (g.name, sm)
             checked += 1
     assert checked > 12_000
+    with pytest.raises(ValueError):
+        GroupScan(frobenius21()).hulls
 
 
 def test_cayley_rows_are_left_translates():
