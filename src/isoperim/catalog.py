@@ -7,8 +7,9 @@ so that generation tests and connectivity scans run at sweep speed, and
 so that products and powers of many sets run as a few numpy operations
 over its translation tables.  It adds no second copy of a primitive:
 Cayley rows are ``groups.elem_mul_mask``, ``hull`` and the table
-``hulls`` of every <M> come from ``groups.closure_mask`` alone, and the
-sweep's image tables are slices of ``right``.
+``hulls`` of every <M> come from ``groups.closure_mask`` alone, the
+sweep's image tables are slices of ``right``, and ``iso._Reducer``,
+under ``subset_scan`` too, reduces its blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .groups import FiniteGroup, closure_mask, elem_mul_mask, inverse_mask, make_group
-from .iso import ScanResult, or_table, subset_scan
+from .iso import _Reducer, or_table, subset_scan
 
 _BLOCK_BITS = 16  # GroupScan.sweep reduces at most 2^16 (S, X) entries at once
 
@@ -177,7 +178,7 @@ class GroupScan:
         "none", "alpha" and "atoms".  The image of X under S is the OR of
         ``image_table(rev)[s]`` over s in S.  The low bits of S index a
         table of partial images built once; each block ORs in the image
-        of the high bits and reduces every row (one S) in a single pass.
+        of the high bits and ``iso._Reducer`` reduces every row (one S).
         A block holds at most ``2**_BLOCK_BITS`` (S, X) entries, which
         bounds memory.  The reverse sweep builds its own table from the
         inverses and never reads forward results, so comparing the two
@@ -185,23 +186,12 @@ class GroupScan:
         """
         if collect not in ("none", "alpha", "atoms"):
             raise ValueError(f"sweep collects 'none', 'alpha' or 'atoms', not {collect!r}")
-        n = self.n
-        if n > 16:
-            raise ValueError("sweep keys fit groups of order at most 16")
-        free = n - 1
+        free = self.n - 1
         t = self.image_table(rev)
         lo = min(free, max(0, _BLOCK_BITS - free))
         low = or_table(t[0], t[1:lo + 1])
-        # key = 16 |XS \ X| + |X| - 1 (mod 256) orders X by boundary, then
-        # size, so one row minimum carries kappa and alpha.  X is feasible
-        # for k when |X| >= k and |XS| <= n - k; the others get key 255,
-        # above every feasible key (boundary < 15).
-        pcx = np.bitwise_count(np.arange(1 << free, dtype=np.uint32)) + np.uint8(1)
-        offset = np.uint8(15) * pcx + np.uint8(1)
-        limit = {k: np.where(pcx >= k, n - k, 0).astype(np.uint8) for k in ks}
         blk = np.empty_like(low)
-        pc, key, kk = (np.empty(low.shape, dtype=np.uint8) for _ in range(3))
-        flag = np.empty(low.shape, dtype=bool)
+        reduce = _Reducer(low.shape, self.n, ks, collect, pin=True)
 
         def highs(first, count):
             # OR of t[first + j] over the set bits j of h, for h ascending;
@@ -216,35 +206,6 @@ class GroupScan:
         smask = 1
         for base in highs(lo + 1, free - lo):
             np.bitwise_or(low, base, out=blk)
-            np.bitwise_count(blk, out=pc)
-            np.multiply(pc, 16, out=key)
-            np.subtract(key, offset, out=key)
-            out = [{} for _ in range(1 << lo)]
-            for k in ks:
-                np.greater(pc, limit[k], out=flag)
-                np.negative(flag.view(np.uint8), out=kk)
-                np.bitwise_or(kk, key, out=kk)
-                m = kk.min(axis=1)
-                if collect != "none":
-                    np.less_equal(kk, (m | 15)[:, None], out=flag)
-                    # a row holds at most 2^15 entries, so uint16 counts them
-                    counts = np.add.reduce(flag.view(np.uint8), axis=1,
-                                           dtype=np.uint16).tolist()
-                if collect == "atoms":
-                    np.equal(kk, m[:, None], out=flag)
-                    flag[m == 0xFF] = False
-                    at = np.flatnonzero(flag)
-                    xs = ((at & ((1 << free) - 1)) << 1 | 1).tolist()
-                    ends = [0, *np.cumsum(np.bincount(at >> free, minlength=len(m))).tolist()]
-                for i, v in enumerate(m.tolist()):
-                    if v == 0xFF:
-                        res = ScanResult(False, n - 2 * k + 1, None, None, None, None)
-                    elif collect == "none":
-                        res = ScanResult(True, v >> 4, None, None, None, None)
-                    else:
-                        found = tuple(xs[ends[i]:ends[i + 1]]) if collect == "atoms" else None
-                        res = ScanResult(True, v >> 4, (v & 15) + 1, found, None, counts[i])
-                    out[i][k] = res
-            for res in out:
+            for res in reduce(blk):
                 yield smask, res
                 smask += 2

@@ -97,12 +97,6 @@ class Digraph:
         _check_sign(sign)
         return self.rows if sign == FWD else self.in_rows
 
-    def out_neighbors(self, v: int) -> ElementSet:
-        return ElementSet(self.n, self.rows[v])
-
-    def in_neighbors(self, v: int) -> ElementSet:
-        return ElementSet(self.n, self.in_rows[v])
-
     def has_arc(self, u: int, v: int) -> bool:
         return (self.rows[u] >> v) & 1 == 1
 
@@ -113,9 +107,6 @@ class Digraph:
 
     def min_out_valency(self) -> int:
         return min(r.bit_count() for r in self.rows)
-
-    def min_in_valency(self) -> int:
-        return min(r.bit_count() for r in self.in_rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -288,9 +279,11 @@ def to_payload(g: Digraph) -> dict:
 
 def from_payload(data: dict) -> Digraph:
     try:
-        n, arcs, declared = data["n"], data["arcs"], bool(data["reflexive"])
+        n, arcs, declared = data["n"], data["arcs"], data["reflexive"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph payload: {exc}") from exc
+    if type(declared) is not bool:
+        raise GraphError(f"graph payload needs reflexive true or false, not {declared!r}")
     if type(n) is not int or n < 1:
         raise GraphError(f"graph needs a positive integer vertex count, not {n!r}")
     if not isinstance(arcs, list):

@@ -435,12 +435,6 @@ def stabilizers(g: FiniteGroup, x: ElementSet) -> tuple[ElementSet, ElementSet]:
     return ElementSet(g.order, left), ElementSet(g.order, right)
 
 
-def is_aperiodic(g: FiniteGroup, x: ElementSet, side: str = "right") -> bool:
-    """True when the chosen stabilizer of X is trivial."""
-    left, right = stabilizers(g, x)
-    return len(right if side == "right" else left) == 1
-
-
 @dataclass(frozen=True)
 class CosetDecomposition:
     subgroup: ElementSet

@@ -14,9 +14,9 @@ which loses nothing: translating a qualifying set by a graph automorphism
 preserves its boundary size.  ``or_table`` builds every image table, here
 and in the catalog sweeps, by doubling over the power set: the images of
 the low vertices once per scan, then one OR per chunk for the high ones.
-Each (chunk, k) reduces to one uint16 key per subset, 32 times the
-boundary plus the size, so its minimum gives kappa and alpha, and the
-fragment count, fragments and atoms come from the same key.
+``_Reducer``, the one kernel under ``subset_scan`` and the catalog
+sweeps, reduces each row of images to one key per subset: the minimum
+gives kappa and alpha, and fragments and atoms come from the same keys.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -36,15 +37,11 @@ _CHUNK_BITS = 20
 _EXHAUSTIVE_CAP = 24
 _FLOW_THRESHOLD = 20  # above this, kappa_1 goes through max-flow
 
-_pc_tables: dict[int, np.ndarray] = {}
 
-
+@lru_cache(maxsize=None)
 def _pc_of_indices(bits: int) -> np.ndarray:
-    tbl = _pc_tables.get(bits)
-    if tbl is None:
-        tbl = np.bitwise_count(np.arange(1 << bits, dtype=np.uint32)).astype(np.uint8)
-        _pc_tables[bits] = tbl
-    return tbl
+    """The popcount of every y < 2^bits (uint8)."""
+    return np.bitwise_count(np.arange(1 << bits, dtype=np.uint32))
 
 
 def or_table(base, gens) -> np.ndarray:
@@ -67,6 +64,103 @@ class ScanResult(NamedTuple):
     frag_count: int | None
 
 
+@lru_cache(maxsize=None)
+def _small_columns(bits: int, t: int) -> tuple[int, ...]:
+    """The few y < 2^bits with fewer than t bits set."""
+    return tuple(y for j in range(t) for y in _k_subset_masks(bits, j))
+
+
+class _Reducer:
+    """Reduces 2-D uint32 blocks of images XB to ``ScanResult`` fields.
+
+    Each row of a block is one scan; column y holds the image of X =
+    ``first | y``, or ``(first | y) << 1 | 1`` when ``pin`` keeps vertex 0
+    in X (``first`` is a multiple of the column count).  Each (row, k)
+    minimises the key ``(|XB| - |X|) << w | (|X| - 1)``, uint8 with w = 4
+    up to 16 vertices and uint16 with w = 5 above, or the maximum when X
+    is infeasible (|X| < k, or fewer than k vertices outside XB).  The
+    buffers, allocated once, hold ``~key``: a multiply by the feasibility
+    flags sends an infeasible X to 0, and the row maximum is ~(min key).
+    """
+
+    def __init__(self, shape: tuple[int, int], n: int, ks: tuple[int, ...],
+                 collect: str, pin: bool):
+        self.n, self.ks, self.collect, self.pin = n, ks, collect, pin
+        self.bits = shape[1].bit_length() - 1
+        self.w, dtype = (4, np.uint8) if n <= 16 else (5, np.uint16)
+        self.top = np.iinfo(dtype).max
+        self.size = _pc_of_indices(self.bits) + pin  # |X| - |first|
+        # a row's fragment count is at most its column count
+        self.count_dtype = np.uint16 if self.bits < 16 else np.uint32
+        self.pc = np.empty(shape, dtype=np.uint8)
+        self.key = np.empty(shape, dtype=dtype)
+        # with one k, ~key is masked in place and the flags overwrite |XB|
+        one = len(ks) == 1
+        self.kk = self.key if one else np.empty(shape, dtype=dtype)
+        self.flag = self.pc.view(bool) if one else np.empty(shape, dtype=bool)
+
+    def _masks(self, m: np.ndarray, first: int) -> list[tuple[int, ...]]:
+        """Per row, the flagged X, ascending; none where no X is feasible."""
+        self.flag[m == 0] = False
+        at = np.flatnonzero(self.flag)  # 2-D np.nonzero is many times slower
+        per_row = np.bincount(at >> self.bits, minlength=len(m)).tolist()
+        pin = self.pin
+        xs = iter(((at & ((1 << self.bits) - 1)) << pin | (first << pin | pin)).tolist())
+        return [tuple(islice(xs, count)) for count in per_row]
+
+    def __call__(self, img: np.ndarray, first: int = 0) -> list[dict[int, ScanResult]]:
+        """Per row of ``img``, the result of each k over the row's X."""
+        pc, key, kk, flag = self.pc, self.key, self.kk, self.flag
+        n, w, top, collect = self.n, self.w, self.top, self.collect
+        low = (1 << w) - 1
+        np.bitwise_count(img, out=pc)
+        # ~key = -1 - key = 2^w (|X| - |XB|) - |X|, mod 2^8 or 2^16
+        np.subtract(self.size, pc, out=key, dtype=key.dtype)
+        np.multiply(key, 1 << w, out=key)
+        np.subtract(key, self.size, out=key)
+        if first:
+            np.add(key, first.bit_count() * low, out=key)
+        c = first.bit_count() + self.pin  # |X| = popcount(y) + c
+        out: list[dict[int, ScanResult]] = [{} for _ in range(len(img))]
+        for k in self.ks:
+            np.less_equal(pc, n - k, out=flag)
+            if k > c:
+                flag[:, _small_columns(self.bits, k - c)] = False
+            np.multiply(key, flag.view(np.uint8), out=kk)
+            m = kk.max(axis=1)
+            counts = atoms = frags = [None] * len(m)
+            if collect != "none":
+                # fragments: key <= kappa << w | low, that is ~key >= m & ~low
+                np.greater_equal(kk, (m & (top - low))[:, None], out=flag)
+                counts = np.add.reduce(flag.view(np.uint8), axis=1,
+                                       dtype=self.count_dtype).tolist()
+            if collect == "all":
+                frags = self._masks(m, first)
+            if collect in ("atoms", "all"):
+                np.equal(kk, m[:, None], out=flag)
+                atoms = self._masks(m, first)
+            nonsep = ScanResult(False, n - 2 * k + 1, None, None, None, None)
+            for i, v in enumerate(m.tolist()):
+                v = top - v
+                alpha = None if collect == "none" else (v & low) + 1
+                out[i][k] = nonsep if v == top else ScanResult(
+                    True, v >> w, alpha, atoms[i], frags[i], counts[i])
+        return out
+
+
+def _merge(a: ScanResult, b: ScanResult) -> ScanResult:
+    """One result over two disjoint ranges of X, with a's masks below b's."""
+    if not b.separable or a.separable and a.kappa < b.kappa:
+        return a
+    if not a.separable or b.kappa < a.kappa or a.alpha is None:
+        return b
+    alpha = min(a.alpha, b.alpha)
+    atoms = None if a.atom_masks is None else tuple(
+        m for r in (a, b) if r.alpha == alpha for m in r.atom_masks)
+    frags = None if a.frag_masks is None else a.frag_masks + b.frag_masks
+    return ScanResult(True, a.kappa, alpha, atoms, frags, a.frag_count + b.frag_count)
+
+
 def subset_scan(
     rows: Sequence[int],
     n: int,
@@ -83,9 +177,9 @@ def subset_scan(
     count), "atoms" (plus atom masks), "all" (plus every fragment mask).
 
     One pass: the images of the low ``_CHUNK_BITS`` free vertices form
-    one table, each chunk ORs in one image of the high vertices, and each
-    (chunk, k) is reduced once through the key ``32 |XB \\ X| + |X|``.
-    Chunks merge into a running minimum, in ascending mask order.
+    one table, each chunk ORs in one image of the high vertices, and
+    ``_Reducer`` reduces each chunk as a one-row block.  Chunks merge into
+    a running minimum, in ascending mask order.
     """
     if collect not in ("none", "alpha", "atoms", "all"):
         raise ValueError(f"unknown collect level {collect!r}")
@@ -93,72 +187,16 @@ def subset_scan(
         raise ValueError(f"repeated k in {ks!r}")
     free = rows[1:n] if pin0 else rows[:n]
     lo = min(len(free), _CHUNK_BITS)
-    low = or_table(rows[0] if pin0 else 0, free[:lo])
+    low = or_table(rows[0] if pin0 else 0, free[:lo])[None]
     high = or_table(0, free[lo:])
-    pc_y = _pc_of_indices(lo)
     img = low if len(high) == 1 else np.empty_like(low)
-    pc = np.empty(low.shape, dtype=np.uint8)
-    key = np.empty(low.shape, dtype=np.uint16)
-    flag = np.empty(low.shape, dtype=bool)
-    def masks(h: int) -> list[int]:
-        """The flagged X of chunk h, ascending."""
-        m = np.flatnonzero(flag) + (h << lo)
-        return (m << 1 | 1 if pin0 else m).tolist()
-
-    # per k: [kappa, alpha, fragment count, fragment masks, atom masks]
-    state: dict[int, list] = {}
+    reduce = _Reducer(low.shape, n, ks, collect, pin0)
+    out: dict[int, ScanResult] = {}
     for h, hmask in enumerate(high):
         if img is not low:
             np.bitwise_or(low, hmask, out=img)
-        np.bitwise_count(img, out=pc)
-        c = h.bit_count() + pin0  # |X| = pc_y + c
-        for k in ks:
-            # key = 32 (|XB| - |X|) + |X|, or 0xFFFF when X is infeasible:
-            # |X| < k, or fewer than k vertices outside XB
-            np.subtract(pc, pc_y, out=key, dtype=np.uint16)
-            np.left_shift(key, 5, out=key)
-            np.add(key, pc_y, out=key)
-            np.subtract(key, 31 * c, out=key)
-            np.greater(pc, n - k, out=flag)
-            np.copyto(key, 0xFFFF, where=flag)
-            np.less(pc_y, k - c, out=flag)
-            np.copyto(key, 0xFFFF, where=flag)
-            m = int(key.min())
-            kap, alpha = m >> 5, m & 31
-            st = state.get(k)
-            if m == 0xFFFF or (st is not None and kap > st[0]):
-                continue
-            if st is None or kap < st[0]:
-                st = state[k] = [kap, alpha, 0, [], []]
-            if collect == "none":
-                continue
-            np.less_equal(key, 32 * kap + 31, out=flag)
-            st[2] += int(np.count_nonzero(flag))
-            if collect == "all":
-                st[3].extend(masks(h))
-            if alpha < st[1]:
-                st[1], st[4] = alpha, []
-            if alpha == st[1] and collect != "alpha":
-                np.equal(key, m, out=flag)
-                st[4].extend(masks(h))
-
-    out: dict[int, ScanResult] = {}
-    for k in ks:
-        st = state.get(k)
-        if st is None:
-            out[k] = ScanResult(False, n - 2 * k + 1, None, None, None, None)
-        elif collect == "none":
-            out[k] = ScanResult(True, st[0], None, None, None, None)
-        else:
-            kap, alpha, count, frags, atoms_k = st
-            out[k] = ScanResult(
-                True,
-                kap,
-                alpha,
-                tuple(atoms_k) if collect != "alpha" else None,
-                tuple(frags) if collect == "all" else None,
-                count,
-            )
+        for k, res in reduce(img, h << lo)[0].items():
+            out[k] = _merge(out[k], res) if k in out else res
     return out
 
 

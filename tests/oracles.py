@@ -71,6 +71,38 @@ def o_kappa(adj, n, k):
     return True, best, frags
 
 
+def assert_scan_matches_oracle(res, oracle, collect, through=None):
+    """Compare one ScanResult with o_kappa; ``through`` keeps only the
+    oracle's fragments containing that vertex (a pinned scan)."""
+    sep, kap, frags = oracle
+    assert (res.separable, res.kappa) == (sep, kap)
+    if not sep or collect == "none":
+        return
+    alpha = min(len(f) for f in frags)
+    if through is not None:
+        frags = [f for f in frags if through in f]
+    want_atoms = {f for f in frags if len(f) == alpha}
+
+    def as_sets(masks):
+        return {frozenset(v for v in range(32) if m >> v & 1) for m in masks}
+
+    assert res.alpha == alpha
+    assert res.frag_count == len(frags)
+    if collect in ("atoms", "all"):
+        assert as_sets(res.atom_masks) == want_atoms
+        assert len(res.atom_masks) == len(want_atoms)
+    if collect == "all":
+        assert as_sets(res.frag_masks) == set(frags)
+        assert list(res.frag_masks) == sorted(res.frag_masks)
+
+
+def o_cayley_adj(table, s, rev=False):
+    """Successor sets of Cay(G, S), x -> xS, or of its reverse Cay(G, S^-1)."""
+    if rev:
+        s = {y for y in range(len(table)) if any(table[x][y] == 0 for x in s)}
+    return tuple({table[x][y] for y in s} for x in range(len(table)))
+
+
 def o_local_connectivity(adj, n, x, y):
     """min |boundary(A)| over A with x in A and y outside Gamma(A)."""
     best = None

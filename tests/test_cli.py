@@ -153,7 +153,8 @@ def test_usage_errors_exit_2(tmp_path):
     for data in ({"n": 3, "arcs": [[0]], "reflexive": False},
                  {"n": 3, "arcs": [["a", 1]], "reflexive": False},
                  {"n": 3, "arcs": 5, "reflexive": False},
-                 {"n": "x", "arcs": [], "reflexive": False}):
+                 {"n": "x", "arcs": [], "reflexive": False},
+                 {"n": 3, "arcs": [[0, 0], [1, 1], [2, 2]], "reflexive": "false"}):
         path.write_text(json.dumps(data))
         r = CliRunner().invoke(main, ["menger", "connect", "--graph", str(path),
                                       "--x", "0", "--y", "2"])

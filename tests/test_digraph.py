@@ -239,6 +239,11 @@ def test_payload_validation():
             from_payload({"n": 3, "arcs": arcs, "reflexive": False})
     with pytest.raises(GraphError):
         from_payload({"n": "x", "arcs": [], "reflexive": False})
+    # reflexive must be a real bool: the string "false" is truthy
+    for flag, arcs in (("false", [[0, 0], [1, 1], [0, 1]]), ("true", [[0, 0], [1, 1]]),
+                       (0, [[0, 1]]), (None, [[0, 1]])):
+        with pytest.raises(GraphError, match="reflexive true or false"):
+            from_payload({"n": 2, "arcs": arcs, "reflexive": flag})
     g = from_payload({"n": 1, "arcs": [[0, 0]], "reflexive": True})
     assert g.reflexive
 

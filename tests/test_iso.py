@@ -18,7 +18,7 @@ from isoperim import (
     profile,
     reverse,
 )
-from isoperim.digraph import FWD, REV, random_reflexive_digraph
+from isoperim.digraph import FWD, REV, Digraph, random_reflexive_digraph
 from isoperim.groups import elem_mul_mask
 from isoperim.iso import (
     check_dual_order,
@@ -33,7 +33,7 @@ from isoperim.iso import (
 from isoperim.menger import kappa1_flow
 from isoperim import iso as iso_mod
 
-from oracles import adj_sets, o_kappa
+from oracles import adj_sets, assert_scan_matches_oracle, o_kappa
 
 
 def cay(spec, elems):
@@ -188,47 +188,25 @@ def test_subset_scan_rejects_repeated_k():
         subset_scan(g.rows, 7, (1, 2, 1), pin0=True, collect="none")
 
 
-def _assert_scan_matches_oracle(res, oracle, collect, through=None):
-    """Compare one ScanResult with o_kappa; ``through`` keeps only the
-    oracle's fragments containing that vertex (a pinned scan)."""
-    sep, kap, frags = oracle
-    assert (res.separable, res.kappa) == (sep, kap)
-    if not sep or collect == "none":
-        return
-    alpha = min(len(f) for f in frags)
-    if through is not None:
-        frags = [f for f in frags if through in f]
-    want_atoms = {f for f in frags if len(f) == alpha}
-
-    def as_sets(masks):
-        return {frozenset(v for v in range(32) if m >> v & 1) for m in masks}
-
-    assert res.alpha == alpha
-    assert res.frag_count == len(frags)
-    if collect in ("atoms", "all"):
-        assert as_sets(res.atom_masks) == want_atoms
-        assert len(res.atom_masks) == len(want_atoms)
-    if collect == "all":
-        assert as_sets(res.frag_masks) == set(frags)
-        assert list(res.frag_masks) == sorted(res.frag_masks)
-
-
 @pytest.mark.parametrize("chunk_bits", [1, 2, 3])
 def test_chunk_merge_matches_oracle(monkeypatch, chunk_bits):
     # chunks of 2-8 subsets make the merge across chunks run on graphs
-    # small enough for the plain-set oracle
-    monkeypatch.setattr(iso_mod, "_CHUNK_BITS", chunk_bits)
+    # small enough for the plain-set oracle; a 17- or 18-vertex graph, in 4
+    # to 16 chunks, runs the uint16 key
     levels = ("none", "alpha", "atoms", "all")
     rng = random.Random(100 + chunk_bits)
-    for _ in range(12):
-        n = rng.randint(1, 9)
-        g = random_reflexive_digraph(rng, n)
-        ks = tuple(k for k in (1, 2, 3) if n >= 2 * k - 1)
+    graphs = [random_reflexive_digraph(rng, rng.randint(1, 9)) for _ in range(12)]
+    graphs.append(random_reflexive_digraph(rng, 17 + chunk_bits % 2))
+    for g in graphs:
+        n = g.n
+        monkeypatch.setattr(iso_mod, "_CHUNK_BITS", chunk_bits if n < 16 else n - 1 - chunk_bits)
+        ks = tuple(k for k in (1, 2, 3) if n >= 2 * k - 1 and (n < 16 or k < 3))
         oracles = {k: o_kappa(adj_sets(g), n, k) for k in ks}
         for collect in levels:
             res = subset_scan(g.rows, n, ks, collect=collect)
             for k in ks:
-                _assert_scan_matches_oracle(res[k], oracles[k], collect)
+                assert_scan_matches_oracle(res[k], oracles[k], collect)
+    monkeypatch.setattr(iso_mod, "_CHUNK_BITS", chunk_bits)
     for spec, elems in [
         ("cyclic:7", [0, 1, 3]),
         ("cyclic:8", [0, 1, 4]),
@@ -246,7 +224,21 @@ def test_chunk_merge_matches_oracle(monkeypatch, chunk_bits):
         for collect in levels:
             res = subset_scan(g.rows, n, ks, pin0=True, collect=collect)
             for k in ks:
-                _assert_scan_matches_oracle(res[k], oracles[k], collect, through=0)
+                assert_scan_matches_oracle(res[k], oracles[k], collect, through=0)
+
+
+def test_wide_key_edges():
+    # 18 vertices need the uint16 key: the loops-only graph has fragments
+    # of every size 1..17 at boundary 0, and K_18 minus a perfect matching
+    # has its 18 singleton fragments at boundary 16
+    loops = Digraph([1 << v for v in range(18)])
+    res = subset_scan(loops.rows, 18, (1, 2), collect="alpha")
+    assert res[1] == (True, 0, 1, None, None, 2**18 - 2)
+    assert res[2] == (True, 0, 2, None, None, sum(math.comb(18, j) for j in range(2, 17)))
+    full = (1 << 18) - 1
+    dense = Digraph([full & ~(1 << (v ^ 1)) for v in range(18)])
+    singles = tuple(1 << v for v in range(18))
+    assert subset_scan(dense.rows, 18, (1,), collect="all")[1] == (True, 16, 1, singles, singles, 18)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from isoperim import verify
+from isoperim import catalog, verify
 from isoperim.catalog import GroupScan, build, entries, frobenius21, load_manifest
 from isoperim.groups import is_subgroup_mask, normality_witness
 from isoperim.sets import ElementSet
 
-from oracles import o_literal_orderbase_zone
+from oracles import assert_scan_matches_oracle, o_cayley_adj, o_kappa, o_literal_orderbase_zone
 
 
 def strip_elapsed(payload):
@@ -85,14 +85,35 @@ def _sweep_matches_scan(scan, subsets, ks):
             assert order == list(scan.subsets_with_identity())
 
 
-def test_sweep_equals_scan_to_order_8():
-    # every S, generating or not, separable or not, in every group to order 8
+def _sweep_matches_oracle(scan, ks):
+    """Compare every S of GroupScan.sweep with o_kappa through vertex 0 on
+    Cay(G, S) and on its reverse, built from plain sets."""
+    table = scan.group.table
+    for rev in (False, True):
+        oracles = {}
+        for level in ("none", "alpha", "atoms"):
+            for smask, res in scan.sweep(ks, level, rev=rev):
+                if smask not in oracles:
+                    s = {x for x in range(scan.n) if smask >> x & 1}
+                    adj = o_cayley_adj(table, s, rev)
+                    oracles[smask] = {k: o_kappa(adj, scan.n, k) for k in ks}
+                for k in ks:
+                    assert_scan_matches_oracle(res[k], oracles[smask][k], level, through=0)
+
+
+@pytest.mark.parametrize("block_bits", [16, 9])
+def test_sweep_equals_scan_to_order_8(monkeypatch, block_bits):
+    # every S, generating or not, separable or not, in every group to order
+    # 8; with 9 block bits each order-8 group sweeps 32 blocks of 4 rows
+    monkeypatch.setattr(catalog, "_BLOCK_BITS", block_bits)
     seen_nongen = seen_nonsep = 0
     for e in entries(8):
         g = build(e.spec)
         scan = GroupScan(g)
         ks = (1, 2) if g.order >= 3 else (1,)
         _sweep_matches_scan(scan, scan.subsets_with_identity(), ks)
+        if g.order <= 7:
+            _sweep_matches_oracle(scan, ks)
         for smask, res in scan.sweep(ks, "none"):
             seen_nongen += not scan.generates(smask)
             seen_nonsep += not res[ks[-1]].separable
