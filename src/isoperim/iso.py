@@ -280,24 +280,20 @@ def _profile_impl(g: Digraph, k: int, sign: str) -> IsoProfile:
             m for m in frag_masks if m.bit_count() == res.alpha
         )
         count = len(frag_masks)
-    if g.transitive:
-        omega = sum(1 for m in atom_masks if m & 1)
-    else:
-        per_vertex = [0] * n
-        for m in atom_masks:
-            mm = m
-            while mm:
-                low = mm & -mm
-                per_vertex[low.bit_length() - 1] += 1
-                mm ^= low
-        omega = min(per_vertex)
+    per_vertex = [0] * n
+    for m in atom_masks:
+        mm = m
+        while mm:
+            low = mm & -mm
+            per_vertex[low.bit_length() - 1] += 1
+            mm ^= low
     return IsoProfile(
         k=k,
         sign=sign,
         separable=True,
         kappa=res.kappa,
         alpha=res.alpha,
-        omega=omega,
+        omega=min(per_vertex),
         atoms=tuple(ElementSet(n, m) for m in atom_masks),
         fragments=tuple(ElementSet(n, m) for m in frag_masks),
         fragments_count=count,

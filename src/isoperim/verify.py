@@ -6,6 +6,13 @@ counterexample is an implementation bug by contract, never new
 mathematics.  Reports are deterministic for a fixed (catalog, seed,
 max_order) regardless of worker count; only ``elapsed`` varies.
 
+``run`` makes one task per catalog group, which builds one ``GroupScan``
+and sweeps it at most once forward and once in reverse, over the union of
+the ks the selected theorems read (``_THEOREMS``) at the highest level any
+of them needs.  Each generating S goes to every selected per-S check, then
+each theorem's set-pair half runs.  A run of one theorem sweeps exactly
+what that theorem reads.
+
 The set-pair checkers draw their (A, B) pairs as two mask vectors: every
 pair, A outer and B inner, up to order ``_EXHAUSTIVE_PAIR_ORDER``, and
 above it ``_PAIR_SAMPLES`` pairs from the per-(theorem, group) seeded
@@ -23,10 +30,12 @@ of an S that does not generate G is needed, it is taken in
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,17 +57,6 @@ from .groups import (
     seminormality,
 )
 from .sets import ElementSet, bits_of
-
-THEOREM_IDS = (
-    "one_atom",
-    "olson",
-    "orderbase",
-    "coset_deficiency",
-    "small_sets",
-    "abelian_two_atoms",
-    "atom_coverage",
-    "classical",
-)
 
 _EXHAUSTIVE_PAIR_ORDER = 8
 _PAIR_SAMPLES = 10_000
@@ -95,7 +93,7 @@ class CheckReport:
 
 
 class _Tally:
-    __slots__ = ("group", "tested", "passing", "skipped", "ces", "details")
+    __slots__ = ("group", "tested", "passing", "skipped", "ces", "details", "kappa1")
 
     def __init__(self, group_name: str):
         self.group = group_name
@@ -104,6 +102,7 @@ class _Tally:
         self.skipped = 0
         self.ces: list[dict] = []
         self.details: dict[str, int] = {}
+        self.kappa1: np.ndarray | None = None  # of each S, index S >> 1
 
     def test(self, ok: bool, **ce) -> None:
         """Count one instance.  ``set`` and the ``atom``/``atoms`` entries of
@@ -185,41 +184,32 @@ def _tally_pairs(t: _Tally, checks) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _grp_one_atom(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
+def _one_atom(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
     """Identity 1-atoms are subgroups generated by their trace on S, and
     witness the kappa_1 coset formula."""
-    t = _Tally(g.name)
-    n = g.order
-    if n < 2:
-        return t
-    full = (1 << n) - 1
-    for (smask, fwd), (_, rev) in zip(scan.sweep((1,), "atoms"),
-                                      scan.sweep((1,), "atoms", rev=True)):
-        if not scan.generates(smask):
-            continue
-        f, r = fwd[1], rev[1]
-        a_f = f.alpha if f.separable else 1
-        a_r = r.alpha if r.separable else 1
-        kap = f.kappa
-        if a_f <= a_r:
-            side, eff_s = f, smask
-        else:
-            side, eff_s = r, inverse_mask(g, smask)
-        atoms0 = side.atom_masks if side.separable else (1,)
-        ok = True
-        for hm in atoms0:
-            sub_ok = is_subgroup_mask(g, hm)
-            gen_ok = closure_mask(g, eff_s & hm) == hm
-            ls = product_mask(g, hm, smask).bit_count() - hm.bit_count()
-            sl = product_mask(g, smask, hm).bit_count() - hm.bit_count()
-            formula_ok = hm != full and min(ls, sl) == kap
-            ok = ok and sub_ok and gen_ok and formula_ok
-        t.test(
-            ok,
-            set=smask,
-            observed={"alpha": a_f, "alpha_neg": a_r, "kappa1": kap},
-        )
-    return t
+    g = scan.group
+    f, r = fwd[1], rev[1]
+    a_f = f.alpha if f.separable else 1
+    a_r = r.alpha if r.separable else 1
+    kap = f.kappa
+    if a_f <= a_r:
+        side, eff_s = f, smask
+    else:
+        side, eff_s = r, inverse_mask(g, smask)
+    atoms0 = side.atom_masks if side.separable else (1,)
+    ok = True
+    for hm in atoms0:
+        sub_ok = is_subgroup_mask(g, hm)
+        gen_ok = closure_mask(g, eff_s & hm) == hm
+        ls = product_mask(g, hm, smask).bit_count() - hm.bit_count()
+        sl = product_mask(g, smask, hm).bit_count() - hm.bit_count()
+        formula_ok = hm != (1 << scan.n) - 1 and min(ls, sl) == kap
+        ok = ok and sub_ok and gen_ok and formula_ok
+    t.test(
+        ok,
+        set=smask,
+        observed={"alpha": a_f, "alpha_neg": a_r, "kappa1": kap},
+    )
 
 
 def _structure_two_cosets(g: FiniteGroup, smask: int, hm: int, side: str) -> bool:
@@ -234,46 +224,37 @@ def _structure_two_cosets(g: FiniteGroup, smask: int, hm: int, side: str) -> boo
     return rest == coset
 
 
-def _grp_olson(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
-    """kappa_1(S) >= |S|/2, with the two-coset structure at equality, and
-    the product bounds |B^j| >= min(|K|, (j+1)|B|/2), |AB| >= min(|AK|, |A|+|B|/2)."""
-    t = _Tally(g.name)
-    n = g.order
-    if n < 2:
-        return t
-    for (smask, fwd), (_, rev) in zip(scan.sweep((1,), "atoms"),
-                                      scan.sweep((1,), "atoms", rev=True)):
-        if not scan.generates(smask):
-            continue
-        f, r = fwd[1], rev[1]
-        kap = f.kappa
-        size = smask.bit_count()
-        if 2 * kap < size:
-            t.test(False, set=smask, observed={"kappa1": kap, "size": size})
-            continue
-        if 2 * kap != size:
-            t.test(True)
-            continue
-        h0 = f.atom_masks if f.separable else (1,)
-        k0 = r.atom_masks if r.separable else (1,)
-        found = False
-        for hm in h0:
-            for km in k0:
-                hb, kb = hm.bit_count(), km.bit_count()
-                if hb <= kb and _structure_two_cosets(g, smask, hm, "right"):
-                    found = True
-                if hb >= kb and _structure_two_cosets(g, smask, km, "left"):
-                    found = True
-        t.test(
-            found,
-            set=smask,
-            observed={"kappa1": kap, "atoms": h0},
-            what="equality without two-coset structure",
-        )
-        if found:
-            t.bump("equality_instances")
-    _olson_pairs(g, scan, rng, t)
-    return t
+def _olson(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
+    """kappa_1(S) >= |S|/2, with the two-coset structure at equality; the
+    product bounds are ``_olson_pairs``."""
+    g = scan.group
+    f, r = fwd[1], rev[1]
+    kap = f.kappa
+    size = smask.bit_count()
+    if 2 * kap < size:
+        t.test(False, set=smask, observed={"kappa1": kap, "size": size})
+        return
+    if 2 * kap != size:
+        t.test(True)
+        return
+    h0 = f.atom_masks if f.separable else (1,)
+    k0 = r.atom_masks if r.separable else (1,)
+    found = False
+    for hm in h0:
+        for km in k0:
+            hb, kb = hm.bit_count(), km.bit_count()
+            if hb <= kb and _structure_two_cosets(g, smask, hm, "right"):
+                found = True
+            if hb >= kb and _structure_two_cosets(g, smask, km, "left"):
+                found = True
+    t.test(
+        found,
+        set=smask,
+        observed={"kappa1": kap, "atoms": h0},
+        what="equality without two-coset structure",
+    )
+    if found:
+        t.bump("equality_instances")
 
 
 def _power_failures(scan: GroupScan, b: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -309,7 +290,7 @@ def _olson_pairs(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
     ])
 
 
-def _grp_orderbase(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
+def _orderbase(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
     """S^e = G for generating S, with e = max(2, floor(2n/|S|) - 1), or
     e = 1 when S = G.
 
@@ -319,7 +300,6 @@ def _grp_orderbase(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
     already gives S.S = G.  Each S that the literal exponent misses is
     tallied under ``literal_bound_violations``, never as a counterexample.
     """
-    t = _Tally(g.name)
     n = g.order
     full = (1 << n) - 1
     s = np.arange(1, full + 1, 2, dtype=np.uint32)
@@ -336,7 +316,6 @@ def _grp_orderbase(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             "set": int(s[i]),
             "observed": {"steps": int(steps[i]), "bound": int(bound[i])}}),
     ])
-    return t
 
 
 def _deficient_parts(scan: GroupScan, s: np.ndarray, a: np.ndarray,
@@ -356,23 +335,28 @@ def _deficient_parts(scan: GroupScan, s: np.ndarray, a: np.ndarray,
     return w
 
 
-def _grp_coset_deficiency(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
+def _keep_kappa1(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
+    """Keep kappa_1 of each generating S for ``_coset_deficiency``."""
+    if t.kappa1 is None:
+        t.kappa1 = np.zeros(1 << scan.n - 1, dtype=np.int64)
+    t.kappa1[smask >> 1] = fwd[1].kappa
+
+
+def _coset_deficiency(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
     """At most (|AS|-|A|)/kappa_1(S) parts of a coset decomposition of A
     have a deficient product with S."""
-    t = _Tally(g.name)
     n = g.order
     s, a = _pairs(n, rng, odd_first=True)
     k = scan.hulls[s]
     trivial = k == 1
     t.skip(int(np.count_nonzero(trivial)))
     s, a, k = s[~trivial], a[~trivial], k[~trivial]
-    # kappa_1 of S inside <S>: one sweep for the generating S, and the
-    # Cayley graph inside <S> for each distinct other S
+    # kappa_1 of S inside <S>: kept from the pass for the generating S,
+    # and the Cayley graph inside <S> for each distinct other S
     kap = np.zeros(len(s), dtype=np.int64)
     gen = k == (1 << n) - 1
     if gen.any():
-        swept = np.array([res[1].kappa for _, res in scan.sweep((1,), "none")])
-        kap[gen] = swept[s[gen] >> 1]
+        kap[gen] = t.kappa1[s[gen] >> 1]
     if not gen.all():
         others, where = np.unique(s[~gen], return_inverse=True)
         kap[~gen] = np.array(
@@ -385,53 +369,42 @@ def _grp_coset_deficiency(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
             "set": {"S": int(s[i]), "A": int(a[i])},
             "observed": {"W": int(w[i]), "kappa1": int(kap[i])}}),
     ])
-    return t
 
 
-def _grp_small_sets(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
+def _small_sets(t: _Tally, scan: GroupScan, smask: int, idx: int, res, rev) -> None:
     """Subsets no larger than p(G) are Cauchy; kappa_2 = |S|-1 forces a
-    progression; small-stabilizer 2-atoms stay below |S|; critical pairs
-    with small B are progressions with a common ratio."""
-    t = _Tally(g.name)
-    n = g.order
-    p = min_subgroup_order(g)
-    ks = (1, 2) if n >= 3 else (1,)
-    # the reverse scan is read at k = 2 only
-    for (smask, res), (_, rev) in zip(scan.sweep(ks, "atoms"),
-                                      scan.sweep(ks[-1:], "alpha", rev=True)):
-        if not scan.generates(smask):
-            continue
-        size = smask.bit_count()
-        if size <= p:
-            ok_i = res[1].kappa == size - 1
-            t.test(ok_i, set=smask, observed={"kappa1": res[1].kappa},
-                   what="cauchy")
-            if n >= 3 and res[2].separable and res[2].kappa == size - 1:
-                s_set = ElementSet(n, smask)
-                ratios = progression_ratios(g, s_set)
-                t.test(bool(ratios), set=smask, what="progression")
-                if ratios:
-                    t.bump("progressions")
-        # bounded 2-atoms with trivial left stabilizer
-        if size >= 3 and n >= 3:
-            if not res[2].separable:
-                t.test(True)  # convention atoms are pairs, bound is immediate
-                continue
-            f2, r2 = res[2], rev[2]
-            a_r = r2.alpha if r2.separable else 2
-            if f2.alpha > a_r:
-                t.skip()
-                continue
-            for hm in f2.atom_masks:
-                if np.count_nonzero(scan.left[:, hm] == hm) == 1:
-                    t.test(
-                        hm.bit_count() <= size - 1,
-                        set=smask,
-                        observed={"atom": hm},
-                        what="2-atom size",
-                    )
-    _small_sets_pairs(g, scan, rng, t)
-    return t
+    progression; small-stabilizer 2-atoms stay below |S|.  Critical pairs
+    with small B are ``_small_sets_pairs``."""
+    g, n = scan.group, scan.n
+    size = smask.bit_count()
+    if size <= min_subgroup_order(g):
+        ok_i = res[1].kappa == size - 1
+        t.test(ok_i, set=smask, observed={"kappa1": res[1].kappa},
+               what="cauchy")
+        if n >= 3 and res[2].separable and res[2].kappa == size - 1:
+            s_set = ElementSet(n, smask)
+            ratios = progression_ratios(g, s_set)
+            t.test(bool(ratios), set=smask, what="progression")
+            if ratios:
+                t.bump("progressions")
+    # bounded 2-atoms with trivial left stabilizer
+    if size >= 3 and n >= 3:
+        if not res[2].separable:
+            t.test(True)  # convention atoms are pairs, bound is immediate
+            return
+        f2, r2 = res[2], rev[2]
+        a_r = r2.alpha if r2.separable else 2
+        if f2.alpha > a_r:
+            t.skip()
+            return
+        for hm in f2.atom_masks:
+            if np.count_nonzero(scan.left[:, hm] == hm) == 1:
+                t.test(
+                    hm.bit_count() <= size - 1,
+                    set=smask,
+                    observed={"atom": hm},
+                    what="2-atom size",
+                )
 
 
 def _small_sets_pairs(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
@@ -472,66 +445,59 @@ def _small_sets_pairs(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
                     t.bump("pairs_translated")
 
 
-def _grp_abelian_two_atoms(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
+def _abelian_two_atoms(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
     """Abelian symmetry kappa_k = kappa_-k and alpha_k = alpha_-k, and the
     2-atom dichotomy (subgroup or a pair) for mu <= 0 outside |S| = |G|-6."""
-    t = _Tally(g.name)
-    n = g.order
-    ks = (1, 2) if n >= 3 else (1,)
-    for (smask, fwd), (_, rev) in zip(scan.sweep(ks, "atoms"),
-                                      scan.sweep(ks, "alpha", rev=True)):
-        if not scan.generates(smask):
-            continue
-        size = smask.bit_count()
-        sym_ok = True
-        for k in ks:
-            fk, rk = fwd[k], rev[k]
-            sym_ok = sym_ok and fk.separable == rk.separable and fk.kappa == rk.kappa
-            if fk.separable:
-                sym_ok = sym_ok and fk.alpha == rk.alpha
-        t.test(sym_ok, set=smask, what="mirror symmetry")
-        if n < 3:
-            continue
-        f2 = fwd[2]
-        if not f2.separable:
-            t.skip()
-            continue
-        mu = f2.kappa - size
-        if mu > 0:
-            t.skip()
-            continue
-        excluded = mu == 0 and size == n - 6
-        nontrivial = [
-            m
-            for m in f2.atom_masks
-            if m.bit_count() != 2 and not is_subgroup_mask(g, m)
-        ]
-        if excluded:
-            t.bump("excluded_region_instances")
-            if any(m.bit_count() == 3 for m in nontrivial):
-                t.bump("excluded_region_size3_atoms")
+    g, n = scan.group, scan.n
+    size = smask.bit_count()
+    sym_ok = True
+    for k in (1, 2) if n >= 3 else (1,):
+        fk, rk = fwd[k], rev[k]
+        sym_ok = sym_ok and fk.separable == rk.separable and fk.kappa == rk.kappa
+        if fk.separable:
+            sym_ok = sym_ok and fk.alpha == rk.alpha
+    t.test(sym_ok, set=smask, what="mirror symmetry")
+    if n < 3:
+        return
+    f2 = fwd[2]
+    if not f2.separable:
+        t.skip()
+        return
+    mu = f2.kappa - size
+    if mu > 0:
+        t.skip()
+        return
+    excluded = mu == 0 and size == n - 6
+    nontrivial = [
+        m
+        for m in f2.atom_masks
+        if m.bit_count() != 2 and not is_subgroup_mask(g, m)
+    ]
+    if excluded:
+        t.bump("excluded_region_instances")
+        if any(m.bit_count() == 3 for m in nontrivial):
+            t.bump("excluded_region_size3_atoms")
+    else:
+        t.test(
+            not nontrivial,
+            set=smask,
+            observed={"atoms": nontrivial},
+            what="2-atom neither subgroup nor pair",
+        )
+    for hm in nontrivial:
+        # |H| <= kappa_2(H) inside <H>, and |H| = 3 when H generates
+        if scan.generates(hm):
+            kap2_h = scan.scan(hm, (2,), collect="none")[2].kappa
+            ok = hm.bit_count() <= kap2_h and hm.bit_count() == 3
         else:
-            t.test(
-                not nontrivial,
-                set=smask,
-                observed={"atoms": nontrivial},
-                what="2-atom neither subgroup nor pair",
-            )
-        for hm in nontrivial:
-            # |H| <= kappa_2(H) inside <H>, and |H| = 3 when H generates
-            if scan.generates(hm):
-                kap2_h = scan.scan(hm, (2,), collect="none")[2].kappa
-                ok = hm.bit_count() <= kap2_h and hm.bit_count() == 3
-            else:
-                kap2_h = iso.kappa(iso.cayley_in_hull(g, ElementSet(n, hm))[0], 2)
-                ok = hm.bit_count() <= kap2_h
-            t.test(
-                ok,
-                set=smask,
-                observed={"atom": hm, "kappa2_atom": kap2_h},
-                what="degenerate atom bound",
-            )
-    return t
+            kap2_h = iso.kappa(iso.cayley_in_hull(g, ElementSet(n, hm))[0], 2)
+            ok = hm.bit_count() <= kap2_h
+        t.test(
+            ok,
+            set=smask,
+            observed={"atom": hm, "kappa2_atom": kap2_h},
+            what="degenerate atom bound",
+        )
 
 
 def _bijection_stride(n: int) -> int:
@@ -542,101 +508,89 @@ def _bijection_stride(n: int) -> int:
     return stride
 
 
-def _grp_atom_coverage(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
+def _atom_coverage(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
     """Coverage multiplicity of 2-atoms, stabilizers of large 2-atoms under
     symmetric or semi-normal S, and the fragment reversal bijection."""
-    t = _Tally(g.name)
-    n = g.order
-    if n < 3:
-        return t
-    full = (1 << n) - 1
-    stride = _bijection_stride(n)
-    idx = -1
-    for (smask, fwd), (_, rev) in zip(scan.sweep((2,), "atoms"),
-                                      scan.sweep((2,), "atoms", rev=True)):
-        if not scan.generates(smask):
-            continue
-        idx += 1
-        size = smask.bit_count()
-        f2 = fwd[2]
-        symmetric = inverse_mask(g, smask) == smask
+    g, n = scan.group, scan.n
+    size = smask.bit_count()
+    f2 = fwd[2]
+    symmetric = inverse_mask(g, smask) == smask
 
-        # coverage bound
-        if f2.separable and f2.alpha >= 3:
-            r2 = rev[2]
-            if r2.separable and f2.alpha <= r2.alpha:
-                om2 = len(f2.atom_masks)
-                om2r = len(r2.atom_masks)
-                bound = 3 + max(f2.kappa, r2.kappa) - size
-                t.test(
-                    min(om2, om2r) <= 2 or f2.alpha <= bound,
-                    set=smask,
-                    observed={"omega2": om2, "omega_neg2": om2r, "alpha2": f2.alpha},
-                    what="coverage bound",
-                )
-            else:
-                t.skip()
+    # coverage bound
+    if f2.separable and f2.alpha >= 3:
+        r2 = rev[2]
+        if r2.separable and f2.alpha <= r2.alpha:
+            om2 = len(f2.atom_masks)
+            om2r = len(r2.atom_masks)
+            bound = 3 + max(f2.kappa, r2.kappa) - size
+            t.test(
+                min(om2, om2r) <= 2 or f2.alpha <= bound,
+                set=smask,
+                observed={"omega2": om2, "omega_neg2": om2r, "alpha2": f2.alpha},
+                what="coverage bound",
+            )
         else:
             t.skip()
+    else:
+        t.skip()
 
-        # large symmetric 2-atoms have nontrivial left stabilizer
-        if symmetric and f2.separable and f2.alpha >= f2.kappa - size + 4:
-            for hm in f2.atom_masks:
-                t.test(
-                    np.count_nonzero(scan.left[:, hm] == hm) >= 2,
-                    set=smask,
-                    observed={"atom": hm},
-                    what="symmetric stabilizer",
-                )
+    # large symmetric 2-atoms have nontrivial left stabilizer
+    if symmetric and f2.separable and f2.alpha >= f2.kappa - size + 4:
+        for hm in f2.atom_masks:
+            t.test(
+                np.count_nonzero(scan.left[:, hm] == hm) >= 2,
+                set=smask,
+                observed={"atom": hm},
+                what="symmetric stabilizer",
+            )
 
-        sem = seminormality(g, ElementSet(n, smask))
-        if sem.kind == "neither":
-            continue
-        a = sem.witness if sem.kind == "semi-normal" else 0
+    sem = seminormality(g, ElementSet(n, smask))
+    if sem.kind == "neither":
+        return
+    a = sem.witness if sem.kind == "semi-normal" else 0
 
-        # fragment reversal bijection Y -> a^-1 Y^-1 a (sampled on big groups,
-        # except genuinely semi-normal instances, which are always checked)
-        if sem.kind == "semi-normal" or idx % stride == 0:
-            graph = cayley_graph(g, ElementSet(n, smask))
-            ai = g.inv[a]
-            for k in (1, 2):
-                pf = iso.profile(graph, k, FWD)
-                pr = iso.profile(graph, k, REV)
-                ok = (
-                    pf.kappa == pr.kappa
-                    and pf.separable == pr.separable
-                    and pf.alpha == pr.alpha
-                    and pf.omega == pr.omega
-                )
-                if pf.separable and ok:
-                    rev_set = {fr.mask for fr in pr.fragments}
-                    mapped = set()
-                    for fr in pf.fragments:
-                        ym = inverse_mask(g, fr.mask)
-                        mapped.add(mask_mul_elem(g, elem_mul_mask(g, ai, ym), a))
-                    ok = mapped == rev_set and len(mapped) == len(pf.fragments)
-                t.test(ok, set=smask, what=f"reversal bijection k={k}")
+    # fragment reversal bijection Y -> a^-1 Y^-1 a (sampled on big groups by
+    # the index of S among the generating S, except genuinely semi-normal
+    # instances, which are always checked)
+    if sem.kind == "semi-normal" or idx % _bijection_stride(n) == 0:
+        graph = cayley_graph(g, ElementSet(n, smask))
+        ai = g.inv[a]
+        for k in (1, 2):
+            pf = iso.profile(graph, k, FWD)
+            pr = iso.profile(graph, k, REV)
+            ok = (
+                pf.kappa == pr.kappa
+                and pf.separable == pr.separable
+                and pf.alpha == pr.alpha
+                and pf.omega == pr.omega
+            )
+            if pf.separable and ok:
+                rev_set = {fr.mask for fr in pr.fragments}
+                mapped = set()
+                for fr in pf.fragments:
+                    ym = inverse_mask(g, fr.mask)
+                    mapped.add(mask_mul_elem(g, elem_mul_mask(g, ai, ym), a))
+                ok = mapped == rev_set and len(mapped) == len(pf.fragments)
+            t.test(ok, set=smask, what=f"reversal bijection k={k}")
 
-        # large semi-normal 2-atoms are subgroups of near-normal type
-        if f2.separable and f2.alpha >= f2.kappa - size + 4:
-            for hm in f2.atom_masks:
-                sub_ok = is_subgroup_mask(g, hm)
-                norm = sum(
-                    1 for x in range(n) if conjugate_mask(g, x, hm) == hm
-                )
-                t.test(
-                    sub_ok and n <= 2 * norm,
-                    set=smask,
-                    observed={"atom": hm, "normalizer": norm},
-                    what="semi-normal atom subgroup",
-                )
-    return t
+    # large semi-normal 2-atoms are subgroups of near-normal type
+    if f2.separable and f2.alpha >= f2.kappa - size + 4:
+        for hm in f2.atom_masks:
+            sub_ok = is_subgroup_mask(g, hm)
+            norm = sum(
+                1 for x in range(n) if conjugate_mask(g, x, hm) == hm
+            )
+            t.test(
+                sub_ok and n <= 2 * norm,
+                set=smask,
+                observed={"atom": hm, "normalizer": norm},
+                what="semi-normal atom subgroup",
+            )
 
 
-def _grp_classical(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
+def _classical(g: FiniteGroup, scan: GroupScan, rng, t: _Tally) -> None:
     """|AB| >= |A|+|B|-1 for aperiodic products (abelian, or commuting B),
     and AB = G as soon as |A|+|B| > |G|."""
-    t = _Tally(g.name)
     n = g.order
     a, b = _pairs(n, rng)
     ab = scan.products(a, b)
@@ -663,21 +617,38 @@ def _grp_classical(g: FiniteGroup, scan: GroupScan, rng) -> _Tally:
          lambda i: {"set": pair(i), "observed": {"AB": int(size_ab[i])},
                     "what": "lower bound"}),
     ])
-    return t
 
 
-_CHECKERS = {
-    "one_atom": _grp_one_atom,
-    "olson": _grp_olson,
-    "orderbase": _grp_orderbase,
-    "coset_deficiency": _grp_coset_deficiency,
-    "small_sets": _grp_small_sets,
-    "abelian_two_atoms": _grp_abelian_two_atoms,
-    "atom_coverage": _grp_atom_coverage,
-    "classical": _grp_classical,
+class _Theorem(NamedTuple):
+    """One theorem on a group of order at least ``least_order`` (abelian with
+    ``abelian_only``): ``fwd`` and ``rev`` are the (ks, collect) of the
+    sweeps that ``per_s(t, scan, smask, idx, fwd, rev)`` reads for each
+    generating S, ``idx`` its index among them; ``pairs(g, scan, rng, t)``
+    runs after the pass."""
+
+    fwd: tuple | None = None
+    rev: tuple | None = None
+    per_s: Callable | None = None
+    pairs: Callable | None = None
+    least_order: int = 1
+    abelian_only: bool = False
+
+
+_THEOREMS = {
+    "one_atom": _Theorem(((1,), "atoms"), ((1,), "atoms"), _one_atom, least_order=2),
+    "olson": _Theorem(((1,), "atoms"), ((1,), "atoms"), _olson, _olson_pairs,
+                      least_order=2),
+    "orderbase": _Theorem(pairs=_orderbase),
+    "coset_deficiency": _Theorem(((1,), "none"), None, _keep_kappa1, _coset_deficiency),
+    "small_sets": _Theorem(((1, 2), "atoms"), ((2,), "alpha"), _small_sets,
+                           _small_sets_pairs),
+    "abelian_two_atoms": _Theorem(((1, 2), "atoms"), ((1, 2), "alpha"), _abelian_two_atoms,
+                                  abelian_only=True),
+    "atom_coverage": _Theorem(((2,), "atoms"), ((2,), "atoms"), _atom_coverage,
+                              least_order=3),
+    "classical": _Theorem(pairs=_classical),
 }
-
-_ABELIAN_ONLY = {"abelian_two_atoms"}
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 # ---------------------------------------------------------------------------
@@ -743,19 +714,41 @@ def zemor_f21_witness() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_group(args: tuple[str, str, int]) -> dict:
-    theorem, spec, seed = args
+def _sweep(scan: GroupScan, wants: list[tuple], rev: bool):
+    """One sweep over the union of the ks with 2k - 1 <= n in ``wants``, a
+    list of (ks, collect), at its highest level; empty results if no k."""
+    ks = sorted({k for want_ks, _ in wants for k in want_ks if 2 * k - 1 <= scan.n})
+    if not ks:
+        return itertools.repeat((None, {}))
+    level = max((c for _, c in wants), key=("none", "alpha", "atoms").index)
+    return scan.sweep(tuple(ks), level, rev=rev)
+
+
+def _run_group(task: tuple[str, tuple[str, ...], int]) -> dict[str, _Tally]:
+    """The given theorems on one catalog group, in one pass: at most one
+    sweep each way, each generating S handed to every per-S check, then
+    each theorem's pair half with its per-(theorem, group) seed."""
+    spec, theorems, seed = task
     g = build(spec)
     scan = GroupScan(g)
-    rng = random.Random(_instance_seed(seed, theorem, spec))
-    tally = _CHECKERS[theorem](g, scan, rng)
-    return {
-        "tested": tally.tested,
-        "passing": tally.passing,
-        "skipped": tally.skipped,
-        "counterexamples": tally.ces,
-        "details": tally.details,
-    }
+    tallies = {tid: _Tally(g.name) for tid in theorems}
+    live = [(tid, _THEOREMS[tid]) for tid in theorems]
+    live = [(tid, th) for tid, th in live
+            if g.order >= th.least_order and (g.abelian or not th.abelian_only)]
+    checks = [(tallies[tid], th.per_s) for tid, th in live if th.per_s]
+    if checks:
+        fwd = _sweep(scan, [th.fwd for _, th in live if th.fwd], rev=False)
+        rev = _sweep(scan, [th.rev for _, th in live if th.rev], rev=True)
+        idx = 0
+        for (smask, f), (_, r) in zip(fwd, rev):
+            if scan.generates(smask):
+                for t, per_s in checks:
+                    per_s(t, scan, smask, idx, f, r)
+                idx += 1
+    for tid, th in live:
+        if th.pairs:
+            th.pairs(g, scan, random.Random(_instance_seed(seed, tid, spec)), tallies[tid])
+    return tallies
 
 
 def run(
@@ -764,7 +757,10 @@ def run(
     seed: int = 0,
     workers: int = 1,
 ) -> list[CheckReport]:
-    """Run the selected checkers over the catalog up to max_order."""
+    """Run the selected checkers over the catalog up to max_order, one task
+    per group.  Theorems share each group's pass, so each report's
+    ``elapsed`` is the wall time of the whole call."""
+    start = time.perf_counter()
     if theorems == "all":
         selected = list(THEOREM_IDS)
     elif isinstance(theorems, str):
@@ -772,31 +768,31 @@ def run(
     else:
         selected = list(theorems)
     for tid in selected:
-        if tid not in _CHECKERS:
+        if tid not in _THEOREMS:
             raise ValueError(
                 f"unknown theorem {tid!r}; known: {', '.join(THEOREM_IDS)}"
             )
+    if len(set(selected)) < len(selected):
+        raise ValueError(f"theorem listed twice: {', '.join(selected)}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
+    abelian_only = all(_THEOREMS[tid].abelian_only for tid in selected)
+    tasks = [(e.spec, tuple(selected), seed) for e in entries(max_order)
+             if not abelian_only or build(e.spec).abelian]
+    if workers > 1 and len(tasks) > 1:
+        with get_context("fork").Pool(min(workers, len(tasks))) as pool:
+            partials = pool.map(_run_group, tasks, chunksize=1)
+    else:
+        partials = [_run_group(task) for task in tasks]
     reports = []
     for tid in selected:
-        start = time.perf_counter()
-        group_entries = [
-            e
-            for e in entries(max_order)
-            if tid not in _ABELIAN_ONLY or build(e.spec).abelian
-        ]
-        tasks = [(tid, e.spec, seed) for e in group_entries]
-        if workers > 1 and len(tasks) > 1:
-            with get_context("fork").Pool(workers) as pool:
-                partials = pool.map(_run_group, tasks, chunksize=1)
-        else:
-            partials = [_run_group(task) for task in tasks]
-        tested = sum(p["tested"] for p in partials)
-        passing = sum(p["passing"] for p in partials)
-        skipped = sum(p["skipped"] for p in partials)
-        ces = [ce for p in partials for ce in p["counterexamples"]]
+        tallies = [p[tid] for p in partials]
+        tested = sum(t.tested for t in tallies)
+        passing = sum(t.passing for t in tallies)
+        ces = [ce for t in tallies for ce in t.ces]
         details: dict = {}
-        for p in partials:
-            for key, val in p["details"].items():
+        for t in tallies:
+            for key, val in t.details.items():
                 details[key] = details.get(key, 0) + val
         if tid == "olson":
             witness = zemor_f21_witness()
@@ -811,10 +807,13 @@ def run(
                 theorem=tid,
                 instances_tested=tested,
                 instances_passing=passing,
-                instances_skipped=skipped,
+                instances_skipped=sum(t.skipped for t in tallies),
                 counterexamples=ces,
-                elapsed=time.perf_counter() - start,
+                elapsed=0.0,
                 details=details,
             )
         )
+    elapsed = time.perf_counter() - start
+    for rep in reports:
+        rep.elapsed = elapsed
     return reports

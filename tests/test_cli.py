@@ -121,12 +121,10 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     assert payload[0]["details"]["literal_bound_violations"] > 0
 
     # a checker that records a counterexample makes verify exit 1
-    def failing(g, scan, rng):
-        t = verify._Tally(g.name)
+    def failing(g, scan, rng, t):
         t.test(False, set=0b1)
-        return t
 
-    monkeypatch.setitem(verify._CHECKERS, "classical", failing)
+    monkeypatch.setitem(verify._THEOREMS, "classical", verify._Theorem(pairs=failing))
     report = tmp_path / "rep.json"
     r = run_cli(
         "verify", "--theorem", "classical", "--max-order", "4",
@@ -145,6 +143,8 @@ def test_usage_errors_exit_2(tmp_path):
                                   "--set", "1,2", "--k", "1"])
     assert r.exit_code == 2  # identity missing from S
     r = CliRunner().invoke(main, ["verify", "--theorem", "nope"])
+    assert r.exit_code == 2
+    r = CliRunner().invoke(main, ["verify", "--max-order", "2", "--workers", "0"])
     assert r.exit_code == 2
     r = CliRunner().invoke(main, ["menger", "connect", "--graph",
                                   "cyclic:5@0,1,2", "--x", "0", "--y", "1"])

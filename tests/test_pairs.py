@@ -6,8 +6,6 @@ and replays only the failures.  Each layer is checked here against the
 plain mask functions and the scalar pair loops in ``oracles``.
 """
 
-import random
-
 import numpy as np
 import pytest
 
@@ -126,17 +124,12 @@ def test_pair_checkers_match_scalar_oracles(theorem, monkeypatch):
     # every group to order 7 (exhaustive pairs), and D5 (sampled pairs);
     # orderbase draws no pairs, and its oracle runs to order 12
     def run(spec, oracle):
-        g = build(spec)
-        rng = random.Random(verify._instance_seed(0, theorem, spec))
         if not oracle:
-            return verify._CHECKERS[theorem](g, GroupScan(g), rng)
-        if theorem in ("olson", "small_sets"):
-            with monkeypatch.context() as m:
-                m.setattr(verify, f"_{theorem}_pairs", _ORACLES[theorem])
-                return verify._CHECKERS[theorem](g, GroupScan(g), rng)
-        t = verify._Tally(g.name)
-        _ORACLES[theorem](g, GroupScan(g), rng, t)
-        return t
+            return verify._run_group((spec, (theorem,), 0))[theorem]
+        with monkeypatch.context() as m:
+            m.setitem(verify._THEOREMS, theorem,
+                      verify._THEOREMS[theorem]._replace(pairs=_ORACLES[theorem]))
+            return verify._run_group((spec, (theorem,), 0))[theorem]
 
     total = 0
     specs = [e.spec for e in entries(7)] + ["dihedral:5"]
@@ -160,11 +153,11 @@ def test_pair_kernel_sees_corrupt_table(monkeypatch):
         table[0, 0b11] &= ~np.uint32(0b10)
         return table
 
-    g = build("cyclic:7")
-    clean = verify._grp_classical(g, GroupScan(g), random.Random(0))
+    task = ("cyclic:7", ("classical",), 0)
+    clean = verify._run_group(task)["classical"]
     assert not clean.ces and clean.tested > 0
     monkeypatch.setattr(GroupScan, "left", property(corrupt))
-    tally = verify._grp_classical(g, GroupScan(g), random.Random(0))
+    tally = verify._run_group(task)["classical"]
     assert tally.ces[0] == {"group": "Z7", "set": {"A": [0], "B": [0, 1]},
                             "observed": {"AB": 1}, "what": "lower bound"}
     assert all(set(ce["set"]) == {"A", "B"} for ce in tally.ces)

@@ -157,9 +157,8 @@ def test_sweep_rejects_unknown_level():
 
 def test_mirror_check_sees_corrupt_forward_table(monkeypatch):
     # the reverse sweep builds its own image table: breaking only the
-    # forward one must surface as a mirror-symmetry counterexample
-    import random
-
+    # forward one must surface as a mirror-symmetry counterexample, alone
+    # and when "all" shares the pass and sweeps the reverse at "atoms"
     original = GroupScan.image_table
 
     def corrupt(self, rev=False):
@@ -168,12 +167,13 @@ def test_mirror_check_sees_corrupt_forward_table(monkeypatch):
             t[1] = (1 << self.n) - 1  # X*1 claimed to be all of G
         return t
 
-    g = build("cyclic:6")
-    clean = verify._grp_abelian_two_atoms(g, GroupScan(g), random.Random(0))
-    assert not clean.ces
-    monkeypatch.setattr(GroupScan, "image_table", corrupt)
-    tally = verify._grp_abelian_two_atoms(g, GroupScan(g), random.Random(0))
-    assert any(ce.get("what") == "mirror symmetry" for ce in tally.ces)
+    for theorems in (("abelian_two_atoms",), verify.THEOREM_IDS):
+        task = ("cyclic:6", theorems, 0)
+        assert not verify._run_group(task)["abelian_two_atoms"].ces
+        with monkeypatch.context() as m:
+            m.setattr(GroupScan, "image_table", corrupt)
+            tally = verify._run_group(task)["abelian_two_atoms"]
+        assert any(ce.get("what") == "mirror symmetry" for ce in tally.ces), theorems
 
 
 def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
@@ -182,8 +182,6 @@ def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
     # On the catalog's real atoms both stabilizers agree wherever the
     # checkers look, so a fake sweep hands them an H of D6 whose left
     # stabilizer is trivial and whose right stabilizer {a : Ha = H} is not
-    import random
-
     from isoperim.iso import ScanResult
 
     g = build("dihedral:6")
@@ -202,10 +200,11 @@ def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
         yield full, {k: atom for k in ks}
 
     monkeypatch.setattr(GroupScan, "sweep", sweep)
-    monkeypatch.setattr(verify, "_small_sets_pairs", lambda *args: None)
-    small = verify._grp_small_sets(g, GroupScan(g), random.Random(0))
+    monkeypatch.setitem(verify._THEOREMS, "small_sets",
+                        verify._THEOREMS["small_sets"]._replace(pairs=None))
+    tallies = verify._run_group(("dihedral:6", ("small_sets", "atom_coverage"), 0))
+    small, cover = tallies["small_sets"], tallies["atom_coverage"]
     assert (small.tested, small.passing) == (1, 1)
-    cover = verify._grp_atom_coverage(g, GroupScan(g), random.Random(0))
     assert {"group": g.name, "set": list(range(n)), "what": "symmetric stabilizer",
             "observed": {"atom": list(ElementSet(n, hm))}} in cover.ces
 
@@ -298,6 +297,118 @@ def test_workers_split_scan_sweep_identically():
     assert strip_elapsed(a) == strip_elapsed(b)
 
 
+# the sweeps (ks, collect, rev) a run of one theorem requests on a group of
+# order at least 3: what that theorem reads, and nothing more
+_OWN_SWEEPS = {
+    "one_atom": [((1,), "atoms", False), ((1,), "atoms", True)],
+    "olson": [((1,), "atoms", False), ((1,), "atoms", True)],
+    "orderbase": [],
+    "coset_deficiency": [((1,), "none", False)],
+    "small_sets": [((1, 2), "atoms", False), ((2,), "alpha", True)],
+    "abelian_two_atoms": [((1, 2), "atoms", False), ((1, 2), "alpha", True)],
+    "atom_coverage": [((2,), "atoms", False), ((2,), "atoms", True)],
+    "classical": [],
+}
+_LEAST_ORDER = {"one_atom": 2, "olson": 2, "atom_coverage": 3}
+
+
+def _own_sweeps(tid, n):
+    """What a run of one theorem sweeps on a group of order n: nothing below
+    its least order, and each k only when 2k - 1 <= n."""
+    if n < _LEAST_ORDER.get(tid, 1):
+        return []
+    kept = [(tuple(k for k in ks if 2 * k - 1 <= n), collect, rev)
+            for ks, collect, rev in _OWN_SWEEPS[tid]]
+    return [sweep for sweep in kept if sweep[0]]
+
+
+def test_one_pass_per_group(reports7, monkeypatch):
+    # "all" builds one GroupScan per group and sweeps it at most once each
+    # way; a run of one theorem requests exactly its own sweeps, and every
+    # theorem reports alone, on one worker or two, what it reports in "all"
+    from collections import Counter
+
+    scans, sweeps = [], []
+    init, sweep = GroupScan.__init__, GroupScan.sweep
+
+    def counted_init(self, group):
+        scans.append(group.name)
+        init(self, group)
+
+    def counted_sweep(self, ks, collect, rev=False):
+        sweeps.append((self.group.name, (tuple(ks), collect, rev)))
+        return sweep(self, ks, collect, rev)
+
+    monkeypatch.setattr(GroupScan, "__init__", counted_init)
+    monkeypatch.setattr(GroupScan, "sweep", counted_sweep)
+    groups = [build(e.spec) for e in entries(8)]
+    assert len({g.name for g in groups}) == len(groups)
+
+    def payload(reports):
+        return strip_elapsed([r.to_payload() for r in reports])
+
+    assert payload(verify.run("all", max_order=8, seed=0)) == payload(reports7.values())
+    # the olson report's F21 witness builds its own GroupScan
+    assert Counter(scans) == Counter([g.name for g in groups] + ["F21"])
+    for g in groups:
+        directions = Counter(rev for name, (_, _, rev) in sweeps if name == g.name)
+        assert max(directions.values(), default=0) <= 1, (g.name, directions)
+        if g.order >= 3:
+            assert sorted(directions) == [False, True], g.name
+
+    for tid in _OWN_SWEEPS:
+        scans.clear()
+        sweeps.clear()
+        assert payload(verify.run(tid, max_order=8, seed=0)) == payload([reports7[tid]])
+        tasks = [g for g in groups if g.abelian or tid != "abelian_two_atoms"]
+        assert Counter(scans) == Counter([g.name for g in tasks]
+                                         + ["F21"] * (tid == "olson")), tid
+        for g in tasks:
+            assert [sw for name, sw in sweeps if name == g.name] == _own_sweeps(tid, g.order), (
+                tid, g.name)
+        two = verify.run(tid, max_order=8, seed=0, workers=2)
+        assert payload(two) == payload([reports7[tid]]), tid
+
+
+def test_run_bounds_pool_and_checks_arguments(monkeypatch):
+    # a fake context records each pool's size and maps serially, so no
+    # process starts: the pool never outgrows the task list
+    pools = []
+
+    class Pool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            assert chunksize == 1
+            return [fn(task) for task in tasks]
+
+    class Context:
+        def __init__(self, method):
+            assert method == "fork"
+            self.Pool = Pool
+
+    monkeypatch.setattr(verify, "get_context", Context)
+    serial = [r.to_payload() for r in verify.run("classical", max_order=2)]
+    assert pools == []
+    many = [r.to_payload() for r in verify.run("classical", max_order=2, workers=5000)]
+    assert pools == [2] and strip_elapsed(many) == strip_elapsed(serial)
+    verify.run("classical", max_order=4, workers=3)
+    assert pools == [2, 3]
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            verify.run("classical", max_order=2, workers=bad)
+    with pytest.raises(ValueError, match="twice"):
+        verify.run(["olson", "classical", "olson"], max_order=2)
+    assert pools == [2, 3]
+
+
 def test_unknown_theorem_rejected():
     with pytest.raises(ValueError, match="unknown theorem"):
         verify.run("nonsense", max_order=6)
@@ -383,11 +494,7 @@ def test_abelian_two_atom_instance_z8():
 def test_coset_deficiency_z12_instance():
     # S = {0,4,8} generates a proper subgroup; the deficiency bound holds
     # for every sampled A in Z12
-    import random
-
-    g = build("cyclic:12")
-    scan = GroupScan(g)
-    tally = verify._grp_coset_deficiency(g, scan, random.Random(0))
+    tally = verify._run_group(("cyclic:12", ("coset_deficiency",), 0))["coset_deficiency"]
     assert tally.tested > 0 and not tally.ces
 
 
