@@ -17,6 +17,13 @@ the low vertices once per scan, then one OR per chunk for the high ones.
 ``_Reducer``, the one kernel under ``subset_scan`` and the catalog
 sweeps, reduces each row of images to one key per subset: the minimum
 gives kappa and alpha, and fragments and atoms come from the same keys.
+
+Single-graph queries scan only what they return.  ``kappa`` (below the
+flow threshold), ``alpha``, ``atoms``, ``omega`` and ``classify`` read one
+cached atoms-level record per (graph, k, sign), scanned at collect
+"atoms": no fragment is listed.  ``profile``, ``fragments`` and the
+``check_*`` functions read the full profile, scanned at collect "all";
+it takes kappa, alpha, the atoms and omega from the same record builder.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 
 from .digraph import FWD, REV, Digraph, GraphError, image_mask, _k_subset_masks
 from .groups import FiniteGroup, GroupError, closure_mask, subgroup_as_group
-from .sets import ElementSet
+from .sets import ElementSet, bits_of
 
 _CHUNK_BITS = 20
 _EXHAUSTIVE_CAP = 24
@@ -253,78 +260,102 @@ def _expand_by_translation(
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=128)
-def _profile_impl(g: Digraph, k: int, sign: str) -> IsoProfile:
+class _AtomRecord(NamedTuple):
+    """kappa_k, alpha_k, the k-atom masks (ascending) and omega_k of one
+    (graph, k, sign); ``atom_masks`` is None for a non-separable graph."""
+
+    separable: bool
+    kappa: int
+    alpha: int
+    omega: int
+    atom_masks: tuple[int, ...] | None
+
+
+def _scan(g: Digraph, k: int, sign: str, collect: str) -> tuple[ScanResult, bool]:
+    """The scan of one (graph, k, sign), and whether it was pinned to the
+    subsets through vertex 0 (transitive graphs above 16 vertices)."""
+    use_pin = g.transitive and g.n > 16
     rows = g.rows_for(sign)
+    return subset_scan(rows, g.n, (k,), pin0=use_pin, collect=collect)[k], use_pin
+
+
+def _atom_record(g: Digraph, k: int, res: ScanResult, pinned: bool) -> _AtomRecord:
+    """The atoms-level record from a scan at collect "atoms" or "all".  A
+    pinned scan found the atoms through vertex 0; every atom translates
+    onto one of those, so their translates are all the atoms."""
     n = g.n
-    use_pin = g.transitive and n > 16
-    res = subset_scan(rows, n, (k,), pin0=use_pin, collect="all")[k]
     if not res.separable:
-        return IsoProfile(
-            k=k,
-            sign=sign,
-            separable=False,
-            kappa=res.kappa,
-            alpha=k,
-            omega=math.comb(n - 1, k - 1),
-            atoms=None,
-            fragments=None,
-            fragments_count=math.comb(n, k),
-        )
-    frag_masks = res.frag_masks
+        return _AtomRecord(False, res.kappa, k, math.comb(n - 1, k - 1), None)
     atom_masks = res.atom_masks
-    count = res.frag_count
-    if use_pin:
-        frag_masks = _expand_by_translation(frag_masks, g.translations)
-        atom_masks = tuple(
-            m for m in frag_masks if m.bit_count() == res.alpha
-        )
-        count = len(frag_masks)
+    if pinned:
+        atom_masks = _expand_by_translation(atom_masks, g.translations)
     per_vertex = [0] * n
     for m in atom_masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            per_vertex[low.bit_length() - 1] += 1
-            mm ^= low
+        for v in bits_of(m):
+            per_vertex[v] += 1
+    return _AtomRecord(True, res.kappa, res.alpha, min(per_vertex), atom_masks)
+
+
+@lru_cache(maxsize=128)
+def _atoms_impl(g: Digraph, k: int, sign: str) -> _AtomRecord:
+    return _atom_record(g, k, *_scan(g, k, sign, "atoms"))
+
+
+@lru_cache(maxsize=128)
+def _profile_impl(g: Digraph, k: int, sign: str) -> IsoProfile:
+    res, pinned = _scan(g, k, sign, "all")
+    rec = _atom_record(g, k, res, pinned)
+    n = g.n
+    if not rec.separable:
+        return IsoProfile(k=k, sign=sign, separable=False, kappa=rec.kappa,
+                          alpha=rec.alpha, omega=rec.omega, atoms=None,
+                          fragments=None, fragments_count=math.comb(n, k))
+    frag_masks = res.frag_masks
+    if pinned:
+        frag_masks = _expand_by_translation(frag_masks, g.translations)
     return IsoProfile(
         k=k,
         sign=sign,
         separable=True,
-        kappa=res.kappa,
-        alpha=res.alpha,
-        omega=min(per_vertex),
-        atoms=tuple(ElementSet(n, m) for m in atom_masks),
+        kappa=rec.kappa,
+        alpha=rec.alpha,
+        omega=rec.omega,
+        atoms=tuple(ElementSet(n, m) for m in rec.atom_masks),
         fragments=tuple(ElementSet(n, m) for m in frag_masks),
-        fragments_count=count,
+        fragments_count=len(frag_masks),
     )
 
 
-def profile(g: Digraph, k: int, sign: str = FWD) -> IsoProfile:
-    """Full exact connectivity profile (enumerative; |V| capped at 24)."""
+def _require_exhaustive(g: Digraph, k: int) -> None:
     _require_scannable(g, k)
     if g.n > _EXHAUSTIVE_CAP:
         raise GraphError(
             f"exhaustive enumeration is capped at {_EXHAUSTIVE_CAP} vertices "
             f"(graph has {g.n}); refusing to approximate"
         )
+
+
+def _atoms_level(g: Digraph, k: int, sign: str) -> _AtomRecord:
+    """The cached atoms-level record (enumerative; |V| capped at 24)."""
+    _require_exhaustive(g, k)
+    return _atoms_impl(g, k, sign)
+
+
+def profile(g: Digraph, k: int, sign: str = FWD) -> IsoProfile:
+    """Full exact connectivity profile (enumerative; |V| capped at 24)."""
+    _require_exhaustive(g, k)
     return _profile_impl(g, k, sign)
 
 
 def kappa(g: Digraph, k: int, sign: str = FWD) -> int:
     """kappa_k, exact.  k=1 on graphs above 20 vertices goes through flow."""
-    _require_scannable(g, k)
     if k == 1 and g.n > _FLOW_THRESHOLD:
+        _require_scannable(g, k)
         from .menger import kappa1_flow
         from .digraph import reverse
 
         return kappa1_flow(g if sign == FWD else reverse(g))
-    if g.n > _EXHAUSTIVE_CAP:
-        raise GraphError(
-            f"exhaustive enumeration is capped at {_EXHAUSTIVE_CAP} vertices "
-            f"(graph has {g.n}); refusing to approximate"
-        )
-    return _profile_impl(g, k, sign).kappa
+    return _atoms_level(g, k, sign).kappa
 
 
 def fragments(g: Digraph, k: int, sign: str = FWD) -> Iterator[ElementSet]:
@@ -339,19 +370,18 @@ def fragments(g: Digraph, k: int, sign: str = FWD) -> Iterator[ElementSet]:
 
 def atoms(g: Digraph, k: int, sign: str = FWD) -> tuple[int, tuple[ElementSet, ...]]:
     """(alpha_k, all k-atoms).  Non-separable graphs list every k-subset."""
-    p = profile(g, k, sign)
-    if p.separable:
-        return p.alpha, p.atoms
-    return k, tuple(ElementSet(g.n, m) for m in _k_subset_masks(g.n, k))
+    rec = _atoms_level(g, k, sign)
+    masks = rec.atom_masks if rec.separable else _k_subset_masks(g.n, k)
+    return rec.alpha, tuple(ElementSet(g.n, m) for m in masks)
 
 
 def omega(g: Digraph, k: int, sign: str = FWD) -> int:
     """Minimum over vertices of the number of k-atoms containing it."""
-    return profile(g, k, sign).omega
+    return _atoms_level(g, k, sign).omega
 
 
 def alpha(g: Digraph, k: int, sign: str = FWD) -> int:
-    return profile(g, k, sign).alpha
+    return _atoms_level(g, k, sign).alpha
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +430,8 @@ def classify(g: FiniteGroup, s: ElementSet) -> SubsetInvariants:
     delta = len(s)
     k1 = kappa(graph, 1)
     if n >= 3:
-        p2 = profile(graph, 2)
-        k2, mu, two_sep = p2.kappa, p2.kappa - delta, p2.separable
+        r2 = _atoms_level(graph, 2, FWD)
+        k2, mu, two_sep = r2.kappa, r2.kappa - delta, r2.separable
     else:
         k2 = mu = None
         two_sep = False

@@ -64,28 +64,38 @@ class Matching:
 
 
 class _SplitFlow:
-    """Max-flow network for vertex connectivity: v becomes 2v -> 2v+1."""
+    """Max-flow network for vertex connectivity: v becomes 2v -> 2v+1.
+
+    Every vertex is split, x and y too: no augmenting path can use the
+    split edge into the source 2x+1 or out of the sink 2y, so flows,
+    paths and cuts are those of the network without them, and ``reset``
+    can move one network to another pair.
+    """
 
     def __init__(self, g: Digraph, x: int, y: int):
         n = g.n
         self.g = g
-        self.x = x
-        self.y = y
-        self.src = 2 * x + 1
-        self.snk = 2 * y
         self.adj: list[list[int]] = [[] for _ in range(2 * n)]
         self.to: list[int] = []
         self.cap: list[int] = []
         big = n + 2
         for v in range(n):
-            if v != x and v != y:
-                self._add(2 * v, 2 * v + 1, 1)
+            self._add(2 * v, 2 * v + 1, 1)
         for u in range(n):
             row = g.rows[u]
             for v in bits_of(row):
                 if v != u:
                     self._add(2 * u + 1, 2 * v, big)
         self.orig = list(self.cap)
+        self.reset(x, y)
+
+    def reset(self, x: int, y: int) -> None:
+        """Zero flow from x to y: the original capacities, new ends."""
+        self.cap[:] = self.orig
+        self.x = x
+        self.y = y
+        self.src = 2 * x + 1
+        self.snk = 2 * y
         self.value = 0
 
     def _add(self, u: int, v: int, c: int) -> None:
@@ -291,24 +301,25 @@ def kappa1_flow(g: Digraph) -> int:
 
     For vertex-transitive graphs only pairs (0, y) are scanned; every
     other pair is a translate.  Non-1-separable graphs get |V| - 1 by
-    the usual convention.
+    the usual convention.  One flow network serves every pair, reset
+    between them, and each pair's flow stops once it reaches the least
+    value so far, since a larger one cannot lower the minimum.
     """
     if not g.reflexive:
         raise GraphError("kappa via flow needs a reflexive graph")
     n = g.n
     sources = (0,) if g.transitive else range(n)
-    best: int | None = None
-    for x in sources:
-        row = g.rows[x]
-        for y in range(n):
-            if (row >> y) & 1:
-                continue
-            lam = local_connectivity(g, x, y)
-            if best is None or lam < best:
-                best = lam
-                if best == 0:
-                    return 0
-    return n - 1 if best is None else best
+    pairs = [(x, y) for x in sources for y in range(n) if not (g.rows[x] >> y) & 1]
+    if not pairs:
+        return n - 1
+    net = _SplitFlow(g, *pairs[0])
+    best = net.run()
+    for x, y in pairs[1:]:
+        if best == 0:
+            break
+        net.reset(x, y)
+        best = net.run(limit=best)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_profile_cache_keeps_metadata_apart():
     # claim it falsely: omega of this digraph is 0, and counting atoms
     # through vertex 0 alone would give 1
     from isoperim import omega
-    from isoperim.iso import _profile_impl
+    from isoperim.iso import _atoms_impl
 
     plain = random_reflexive_digraph(random.Random(4), 18)
     assert not plain.transitive and plain == Digraph(plain.rows)
@@ -117,9 +117,9 @@ def test_profile_cache_keeps_metadata_apart():
     bare = Digraph(g18.rows)
     assert g18.transitive and not bare.transitive
     assert g18 != bare and hash(g18) != hash(bare)
-    _profile_impl.cache_clear()
+    _atoms_impl.cache_clear()
     assert omega(g18, 1) == omega(bare, 1)
-    assert _profile_impl.cache_info().currsize == 2
+    assert _atoms_impl.cache_info().currsize == 2
     # graphs with the same rows and translations are equal, however built
     g, z6 = cay("cyclic:6", [0, 1])
     assert g == Digraph(g.rows, translations=z6.table) == cayley_graph(z6, z6.subset([0, 1]))

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -137,6 +138,89 @@ def test_pinned_expansion_matches_full_scan():
     assert res.kappa == p.kappa
     assert tuple(f.mask for f in p.fragments) == res.frag_masks
     assert p.alpha == res.alpha
+
+
+# ---------------------------------------------------------------------------
+# the atoms-level record behind kappa, alpha, atoms and omega
+# ---------------------------------------------------------------------------
+
+
+def _queries(g, k, sign):
+    return (kappa(g, k, sign), iso_mod.alpha(g, k, sign), atoms(g, k, sign),
+            omega(g, k, sign))
+
+
+def _from_profile(g, k, sign):
+    """The same four answers read from the full profile: the atoms are
+    the least fragments, and omega counts them at each vertex."""
+    p = profile(g, k, sign)
+    n = g.n
+    if p.separable:
+        ats = tuple(f for f in p.fragments if len(f) == p.alpha)
+        assert ats == p.atoms
+    else:
+        masks = sorted(sum(1 << v for v in c) for c in combinations(range(n), k))
+        ats = tuple(ElementSet(n, m) for m in masks)
+    per_vertex = [sum(1 for a in ats if v in a) for v in range(n)]
+    assert min(per_vertex) == p.omega
+    return p.kappa, p.alpha, (p.alpha, ats), p.omega
+
+
+def _ks(n):
+    return [k for k in (1, 2, 3) if n >= 2 * k - 1]
+
+
+def test_atom_record_matches_profile_on_random_digraphs():
+    rng = random.Random(20)
+    for _ in range(60):
+        g = random_reflexive_digraph(rng, rng.randint(1, 10))
+        for k in _ks(g.n):
+            for sign in (FWD, REV):
+                assert _queries(g, k, sign) == _from_profile(g, k, sign)
+
+
+def test_atom_record_matches_profile_on_catalog_to_order_8():
+    from isoperim.catalog import GroupScan, build, entries
+
+    for e in entries(8):
+        group = build(e.spec)
+        scan = GroupScan(group)
+        for smask in scan.subsets_with_identity():
+            if not scan.generates(smask):
+                continue
+            graph = cayley_graph(group, ElementSet(group.order, smask))
+            for k in _ks(graph.n):
+                for sign in (FWD, REV):
+                    assert _queries(graph, k, sign) == _from_profile(graph, k, sign), (
+                        e.name, bin(smask), k, sign)
+
+
+@pytest.mark.parametrize("spec,elems", [
+    ("cyclic:17", [0, 1, 4]),
+    ("dihedral:9", [0, 3]),
+    ("cyclic:19", [0, 2, 7]),
+    ("dihedral:10", [0, 1, 13]),
+])
+def test_pinned_atom_record_matches_translation_free_copy(spec, elems):
+    # above 16 vertices the Cayley graph is scanned through vertex 0 and
+    # its atoms expanded by translation; the plain copy is scanned whole
+    g, _ = cay(spec, elems)
+    bare = Digraph(g.rows)
+    assert g.transitive and not bare.transitive and 17 <= g.n <= 20
+    for k in (1, 2):
+        for sign in (FWD, REV):
+            assert _queries(g, k, sign) == _from_profile(bare, k, sign)
+
+
+def test_kappa_builds_no_fragment_profile():
+    # every fragment of this loop-only graph is a set with room on both
+    # sides; kappa, alpha, atoms and omega must not list them
+    g, _ = cay("cyclic:18", [0])
+    iso_mod._profile_impl.cache_clear()
+    assert kappa(g, 2) == 0
+    assert iso_mod.alpha(g, 2) == 2 and omega(g, 2) == 17
+    assert len(atoms(g, 2)[1]) == math.comb(18, 2)
+    assert iso_mod._profile_impl.cache_info().currsize == 0
 
 
 def test_chunked_full_scan_agrees_with_pinned():

@@ -17,7 +17,9 @@ from isoperim import (
     min_k_part,
     strong_iso_matching,
 )
+from isoperim.catalog import build, entries
 from isoperim.digraph import Digraph, boundary, co_complement, image, random_reflexive_digraph
+from isoperim.iso import subset_scan
 from isoperim.menger import PathFamily, fan, verify_path_family
 
 from oracles import adj_sets, o_is_matching, o_local_connectivity
@@ -279,3 +281,19 @@ def test_kappa1_flow_transitive_and_general():
     for _ in range(30):
         rg = random_reflexive_digraph(rng, rng.randint(1, 8))
         assert kappa1_flow(rg) == kappa(rg, 1)
+    # one network serves every pair; each exact value from the full scan
+    for _ in range(80):
+        rg = random_reflexive_digraph(rng, rng.randint(1, 12))
+        assert kappa1_flow(rg) == subset_scan(rg.rows, rg.n, (1,), collect="none")[1].kappa
+    for e in entries(10):
+        group = build(e.spec)
+        n = group.order
+        for smask in range(1, 1 << n, 2)[::7]:
+            graph = cayley_graph(group, ElementSet(n, smask))
+            exhaustive = subset_scan(graph.rows, n, (1,), collect="none")[1].kappa
+            assert kappa1_flow(graph) == exhaustive, (e.name, bin(smask))
+    # 0 reaches 4 through 1, 2 and 3, but 5 only through 4: the first
+    # pair (0, 4) has connectivity 3 and a later one (0, 5) has 1
+    ring = Digraph([0b001111, 0b010010, 0b010100, 0b011000, 0b110000, 0b100001])
+    assert local_connectivity(ring, 0, 4) == 3 and local_connectivity(ring, 0, 5) == 1
+    assert kappa1_flow(ring) == 1 == subset_scan(ring.rows, 6, (1,), collect="none")[1].kappa
