@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .digraph import Digraph, GraphError, image_mask, reverse
 from .groups import (
@@ -296,29 +297,51 @@ def fan(g: Digraph, x: int, targets: ElementSet) -> tuple[tuple[int, ...], ...] 
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def kappa1_flow(g: Digraph) -> int:
     """kappa_1 as the minimum local connectivity over non-adjacent pairs.
 
-    For vertex-transitive graphs only pairs (0, y) are scanned; every
-    other pair is a translate.  Non-1-separable graphs get |V| - 1 by
-    the usual convention.  One flow network serves every pair, reset
-    between them, and each pair's flow stops once it reaches the least
-    value so far, since a larger one cannot lower the minimum.
+    Results are cached per graph, so ``iso.kappa``, ``classify`` and
+    ``strong_iso_matching`` on one graph share one flow.  Vertex-transitive
+    graphs scan only the pairs (0, y); every other pair is a translate.
+    Other graphs take sources v = 0, 1, ... in turn, each with its pairs
+    (v, w) and (w, v) not run before, and stop before source i once
+    i >= best (Even's bound).  A minimum cut C misses one of the first
+    |C| + 1 vertices, which lies on one side of C and has a partner on
+    the other side at local connectivity |C|; so once i >= best, either
+    best = |C| or those |C| + 1 sources have run and found it.
+    Non-1-separable graphs get |V| - 1 by the usual convention.  One
+    flow network serves every pair, reset between them, and each pair's
+    flow stops once it reaches the least value so far, since a larger
+    one cannot lower the minimum.
     """
     if not g.reflexive:
         raise GraphError("kappa via flow needs a reflexive graph")
-    n = g.n
-    sources = (0,) if g.transitive else range(n)
-    pairs = [(x, y) for x in sources for y in range(n) if not (g.rows[x] >> y) & 1]
-    if not pairs:
-        return n - 1
-    net = _SplitFlow(g, *pairs[0])
-    best = net.run()
-    for x, y in pairs[1:]:
+    n, rows = g.n, g.rows
+    best = n - 1
+
+    def pairs():
+        if g.transitive:
+            yield from ((0, y) for y in range(n))
+            return
+        for x in range(n):
+            if x >= best:
+                return
+            for w in range(x + 1, n):
+                yield x, w
+                yield w, x
+
+    net = None
+    for x, y in pairs():
+        if (rows[x] >> y) & 1:
+            continue
+        if net is None:
+            net = _SplitFlow(g, x, y)
+        else:
+            net.reset(x, y)
+        best = net.run(limit=best)
         if best == 0:
             break
-        net.reset(x, y)
-        best = net.run(limit=best)
     return best
 
 

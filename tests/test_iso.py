@@ -224,9 +224,9 @@ def test_kappa_builds_no_fragment_profile():
 
 
 def test_chunked_full_scan_agrees_with_pinned():
-    # 21 vertices splits the full scan into two chunks of 2^20 subsets;
-    # on a vertex-transitive graph it must agree with the single-chunk
-    # pinned scan on kappa, alpha, and the atoms through the identity
+    # 21 vertices splits the full scan into 32 chunks of 2^16 subsets;
+    # on a vertex-transitive graph it must agree with the 16-chunk pinned
+    # scan on kappa, alpha, and the atoms through the identity
     from isoperim.catalog import frobenius21
 
     g21 = frobenius21()
@@ -323,6 +323,32 @@ def test_wide_key_edges():
     dense = Digraph([full & ~(1 << (v ^ 1)) for v in range(18)])
     singles = tuple(1 << v for v in range(18))
     assert subset_scan(dense.rows, 18, (1,), collect="all")[1] == (True, 16, 1, singles, singles, 18)
+
+
+@pytest.mark.parametrize("spec,elems", [
+    ("product:cyclic:3,cyclic:7", [0, 1, 5, 9]),
+    ("cyclic:23", [0, 1, 5, 11, 17]),
+    ("symmetric:4", [0, 3, 14, 19]),
+])
+def test_chunk_size_matches_one_chunk(monkeypatch, spec, elems):
+    # 21-24 vertices run 16 to 128 chunks of 2^16 pinned subsets, against
+    # one to eight chunks of 2^20: every field must agree, masks in order
+    g, _ = cay(spec, elems)
+    assert iso_mod._CHUNK_BITS < g.n - 1
+    for collect in ("none", "alpha", "atoms", "all"):
+        res = subset_scan(g.rows, g.n, (1, 2), pin0=True, collect=collect)
+        with monkeypatch.context() as m:
+            m.setattr(iso_mod, "_CHUNK_BITS", 20)
+            one = subset_scan(g.rows, g.n, (1, 2), pin0=True, collect=collect)
+        assert res == one, (spec, collect)
+
+
+def test_chunk_size_matches_one_chunk_unpinned(monkeypatch):
+    # 2^20 subsets: 16 chunks of 2^16 against one chunk
+    rg = random_reflexive_digraph(random.Random(20), 20, 0.45)
+    res = subset_scan(rg.rows, 20, (1, 2), collect="atoms")
+    monkeypatch.setattr(iso_mod, "_CHUNK_BITS", 20)
+    assert res == subset_scan(rg.rows, 20, (1, 2), collect="atoms")
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +476,15 @@ def test_isoperimetric_inequality_catalog():
         g, _ = cay(spec, elems)
         assert verify_isoperimetric_inequality(g, k, FWD)
         assert verify_isoperimetric_inequality(g, k, REV)
+
+
+def test_isoperimetric_inequality_cap():
+    # the cap is its own: 20 vertices run whatever the scan's chunk size
+    g20, _ = cay("cyclic:20", [0, 1, 5])
+    assert verify_isoperimetric_inequality(g20, 1)
+    g21, _ = cay("cyclic:21", [0, 1, 5])
+    with pytest.raises(GraphError, match="capped at 20"):
+        verify_isoperimetric_inequality(g21, 1)
 
 
 def test_kappa1_at_most_min_valency_minus_one():

@@ -281,10 +281,15 @@ def test_kappa1_flow_transitive_and_general():
     for _ in range(30):
         rg = random_reflexive_digraph(rng, rng.randint(1, 8))
         assert kappa1_flow(rg) == kappa(rg, 1)
-    # one network serves every pair; each exact value from the full scan
-    for _ in range(80):
-        rg = random_reflexive_digraph(rng, rng.randint(1, 12))
-        assert kappa1_flow(rg) == subset_scan(rg.rows, rg.n, (1,), collect="none")[1].kappa
+    # one network serves every pair, and sparse graphs reach small kappa
+    # from few sources; each exact value from the full scan
+    seen = set()
+    for _ in range(300):
+        rg = random_reflexive_digraph(rng, rng.randint(1, 12), rng.choice([None, 0.1, 0.25, 0.4]))
+        kap = subset_scan(rg.rows, rg.n, (1,), collect="none")[1].kappa
+        assert kappa1_flow(rg) == kap
+        seen.add(kap)
+    assert set(range(6)) <= seen
     for e in entries(10):
         group = build(e.spec)
         n = group.order
@@ -297,3 +302,72 @@ def test_kappa1_flow_transitive_and_general():
     ring = Digraph([0b001111, 0b010010, 0b010100, 0b011000, 0b110000, 0b100001])
     assert local_connectivity(ring, 0, 4) == 3 and local_connectivity(ring, 0, 5) == 1
     assert kappa1_flow(ring) == 1 == subset_scan(ring.rows, 6, (1,), collect="none")[1].kappa
+
+
+def _even_teeth(kap, directed):
+    """A graph with kappa_1 = kap whose only minimum separator is
+    C = {0, ..., kap-1}: each source in C sees only pairs of connectivity
+    kap + 1, so the first source to find kap is vertex kap.  Undirected:
+    C is independent and joined to the vertex kap and to a clique W of
+    kap vertices.  Directed: the same plus arcs from the vertex kap into
+    W, so the pairs at connectivity kap are (w, kap), with the source on
+    the far side of C."""
+    n = 2 * kap + 1
+    c = range(kap)
+    rest = range(kap + 1, n)
+    arcs = {(v, v) for v in range(n)}
+    arcs |= {(x, y) for x in rest for y in rest}
+    arcs |= {p for x in c for y in range(kap, n) for p in ((x, y), (y, x))}
+    if directed:
+        arcs |= {(kap, y) for y in rest}
+    rows = [0] * n
+    for x, y in arcs:
+        rows[x] |= 1 << y
+    return Digraph(rows)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("kap", [1, 2, 3])
+def test_kappa1_flow_needs_source_kappa(kap, directed):
+    # Even's bound: the sources 0..kappa_1 suffice, and here 0..kappa_1 - 1
+    # do not, so a search that stops before source kappa_1 reads too much
+    g = _even_teeth(kap, directed)
+    assert subset_scan(g.rows, g.n, (1,), collect="none")[1].kappa == kap
+    assert kappa1_flow(g) == kap
+    in_c = [(x, y) for x in range(g.n) for y in range(g.n)
+            if not g.has_arc(x, y) and min(x, y) < kap]
+    assert all(local_connectivity(g, x, y) == kap + 1 for x, y in in_c)
+    assert any(local_connectivity(g, x, y) == kap
+               for x in range(g.n) for y in range(g.n)
+               if kap in (x, y) and not g.has_arc(x, y))
+
+
+def test_kappa1_flow_runs_once_per_graph(monkeypatch):
+    # kappa, kappa1_flow, classify (through the equal graph Cay(<S>, S))
+    # and strong_iso_matching share one cached flow on a 21-vertex graph
+    from isoperim import classify, menger
+
+    g, z21 = cay("product:cyclic:3,cyclic:7", [0, 1, 5, 9])
+    assert g.n == 21 and g.transitive
+    built = []
+    init = menger._SplitFlow.__init__
+
+    def counted(net, *args):
+        built.append(args)
+        init(net, *args)
+
+    kappa1_flow.cache_clear()
+    monkeypatch.setattr(menger._SplitFlow, "__init__", counted)
+    k1 = kappa(g, 1)
+    assert kappa1_flow(g) == k1 == classify(z21, z21.subset([0, 1, 5, 9])).kappa1
+    m = strong_iso_matching(g, z21.subset(range(7)), k1)
+    assert o_is_matching(g, set(range(7)), m.pairs, k1)
+    assert len(built) == 1
+    info = kappa1_flow.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # the translation-free copy is a different graph: its own entry, its
+    # own flow from more than one source, and the same value
+    bare = Digraph(g.rows)
+    assert bare != g and kappa1_flow(bare) == k1 and len(built) == 2
+    info = kappa1_flow.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)

@@ -1,4 +1,6 @@
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +322,24 @@ def _own_sweeps(tid, n):
     kept = [(tuple(k for k in ks if 2 * k - 1 <= n), collect, rev)
             for ks, collect, rev in _OWN_SWEEPS[tid]]
     return [sweep for sweep in kept if sweep[0]]
+
+
+GOLDEN_ALL_12 = Path(__file__).parent / "data" / "verify_all_12.json"
+
+
+def golden_text(reports) -> str:
+    """Reports as the golden file holds them: ``elapsed`` set to 0."""
+    payload = [dict(r.to_payload(), elapsed=0) for r in reports]
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def test_verify_all_12_matches_golden_payload():
+    # every report to order 12, byte for byte.  A change that alters a
+    # report on purpose writes golden_text(verify.run("all", max_order=12,
+    # seed=0)) to GOLDEN_ALL_12 (this module imports with PYTHONPATH=src:tests
+    # from the repository root) and lists the old and new counts per
+    # theorem with the reason.
+    assert golden_text(verify.run("all", max_order=12, seed=0)) == GOLDEN_ALL_12.read_text()
 
 
 def test_one_pass_per_group(reports7, monkeypatch):
