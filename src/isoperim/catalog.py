@@ -21,10 +21,9 @@ from importlib import resources
 
 import numpy as np
 
+from . import iso
 from .groups import FiniteGroup, closure_mask, elem_mul_mask, inverse_mask, make_group
 from .iso import _Reducer, or_table, subset_scan
-
-_BLOCK_BITS = 16  # GroupScan.sweep reduces at most 2^16 (S, X) entries at once
 
 
 @dataclass(frozen=True)
@@ -179,16 +178,17 @@ class GroupScan:
         ``image_table(rev)[s]`` over s in S.  The low bits of S index a
         table of partial images built once; each block ORs in the image
         of the high bits and ``iso._Reducer`` reduces every row (one S).
-        A block holds at most ``2**_BLOCK_BITS`` (S, X) entries, which
-        bounds memory.  The reverse sweep builds its own table from the
-        inverses and never reads forward results, so comparing the two
-        directions checks something.  Groups of order at most 16.
+        A block holds at most ``2**iso._CHUNK_BITS`` (S, X) entries, as a
+        ``subset_scan`` chunk does, which bounds memory.  The reverse sweep
+        builds its own table from the inverses and never reads forward
+        results, so comparing the two directions checks something.  Groups
+        of order at most 16.
         """
         if collect not in ("none", "alpha", "atoms"):
             raise ValueError(f"sweep collects 'none', 'alpha' or 'atoms', not {collect!r}")
         free = self.n - 1
         t = self.image_table(rev)
-        lo = min(free, max(0, _BLOCK_BITS - free))
+        lo = min(free, max(0, iso._CHUNK_BITS - free))
         low = or_table(t[0], t[1:lo + 1])
         blk = np.empty_like(low)
         reduce = _Reducer(low.shape, self.n, ks, collect, pin=True)

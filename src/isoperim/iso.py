@@ -94,6 +94,8 @@ class _Reducer:
 
     def __init__(self, shape: tuple[int, int], n: int, ks: tuple[int, ...],
                  collect: str, pin: bool):
+        if any(k < 1 or 2 * k - 1 > n for k in ks):
+            raise ValueError(f"kappa_k needs 1 <= k and 2k - 1 <= {n}, not ks={ks!r}")
         self.n, self.ks, self.collect, self.pin = n, ks, collect, pin
         self.bits = shape[1].bit_length() - 1
         self.w, dtype = (4, np.uint8) if n <= 16 else (5, np.uint16)
@@ -184,6 +186,7 @@ def subset_scan(
     (distinct) k the exact connectivity data at the ``collect`` level: "none" (kappa
     and separability), "alpha" (plus atom cardinality and fragment
     count), "atoms" (plus atom masks), "all" (plus every fragment mask).
+    A k outside 1 <= k, 2k - 1 <= n raises ``ValueError``.
 
     One pass: the images of the low ``_CHUNK_BITS`` free vertices form
     one table, each chunk ORs in one image of the high vertices, and

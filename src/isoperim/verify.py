@@ -11,7 +11,8 @@ and sweeps it at most once forward and once in reverse, over the union of
 the ks the selected theorems read (``_THEOREMS``) at the highest level any
 of them needs.  Each generating S goes to every selected per-S check, then
 each theorem's set-pair half runs.  A run of one theorem sweeps exactly
-what that theorem reads.
+what that theorem reads.  The per-S checks read subgroups, inverses and
+translates from ``GroupScan``'s tables too.
 
 The set-pair checkers draw their (A, B) pairs as two mask vectors: every
 pair, A outer and B inner, up to order ``_EXHAUSTIVE_PAIR_ORDER``, and
@@ -23,7 +24,7 @@ count the passing checks in bulk, and replay only the failures through
 order and the per-group cap are those of a pair-by-pair loop.
 ``orderbase`` runs the same way over the vector of every S containing 1,
 and it and Olson's |B^j| bound read ``GroupScan.powers``.  Where kappa_k
-of an S that does not generate G is needed, it is taken in
+of a set inside the subgroup it generates is needed, it is taken in
 ``iso.cayley_in_hull``, the Cayley graph of S inside <S>.
 """
 
@@ -41,18 +42,14 @@ import numpy as np
 
 from . import iso
 from .catalog import GroupScan, build, entries, frobenius21
-from .digraph import FWD, REV, cayley_graph
 from .groups import (
     FiniteGroup,
     closure_mask,
-    conjugate_mask,
     elem_mul_mask,
-    inverse_mask,
     is_subgroup_mask,
     mask_mul_elem,
     min_subgroup_order,
     normality_witness,
-    product_mask,
     progression_ratios,
     seminormality,
 )
@@ -187,7 +184,6 @@ def _tally_pairs(t: _Tally, checks) -> None:
 def _one_atom(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
     """Identity 1-atoms are subgroups generated by their trace on S, and
     witness the kappa_1 coset formula."""
-    g = scan.group
     f, r = fwd[1], rev[1]
     a_f = f.alpha if f.separable else 1
     a_r = r.alpha if r.separable else 1
@@ -195,16 +191,17 @@ def _one_atom(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> Non
     if a_f <= a_r:
         side, eff_s = f, smask
     else:
-        side, eff_s = r, inverse_mask(g, smask)
+        side, eff_s = r, int(scan.inverses[smask])
     atoms0 = side.atom_masks if side.separable else (1,)
+    s_elems = list(bits_of(smask))
     ok = True
     for hm in atoms0:
-        sub_ok = is_subgroup_mask(g, hm)
-        gen_ok = closure_mask(g, eff_s & hm) == hm
-        ls = product_mask(g, hm, smask).bit_count() - hm.bit_count()
-        sl = product_mask(g, smask, hm).bit_count() - hm.bit_count()
-        formula_ok = hm != (1 << scan.n) - 1 and min(ls, sl) == kap
-        ok = ok and sub_ok and gen_ok and formula_ok
+        # HS and SH: the OR of Hs and of sH over the s in S
+        hs = int(np.bitwise_or.reduce(scan.right[s_elems, hm]))
+        sh = int(np.bitwise_or.reduce(scan.left[s_elems, hm]))
+        ok = (ok and scan.hulls[hm] == hm and scan.hulls[eff_s & hm] == hm
+              and hm != (1 << scan.n) - 1
+              and min(hs.bit_count(), sh.bit_count()) - hm.bit_count() == kap)
     t.test(
         ok,
         set=smask,
@@ -212,22 +209,18 @@ def _one_atom(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> Non
     )
 
 
-def _structure_two_cosets(g: FiniteGroup, smask: int, hm: int, side: str) -> bool:
+def _structure_two_cosets(scan: GroupScan, smask: int, hm: int, side: str) -> bool:
     """S = H u Hu (right) or S = K u uK (left) for some u."""
-    if not is_subgroup_mask(g, hm):
-        return False
     rest = smask & ~hm
-    if not rest or (smask & hm) != hm:
+    if scan.hulls[hm] != hm or not rest or (smask & hm) != hm:
         return False
     u = (rest & -rest).bit_length() - 1
-    coset = mask_mul_elem(g, hm, u) if side == "right" else elem_mul_mask(g, u, hm)
-    return rest == coset
+    return rest == (scan.right if side == "right" else scan.left)[u, hm]
 
 
 def _olson(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
     """kappa_1(S) >= |S|/2, with the two-coset structure at equality; the
     product bounds are ``_olson_pairs``."""
-    g = scan.group
     f, r = fwd[1], rev[1]
     kap = f.kappa
     size = smask.bit_count()
@@ -243,9 +236,9 @@ def _olson(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -> None:
     for hm in h0:
         for km in k0:
             hb, kb = hm.bit_count(), km.bit_count()
-            if hb <= kb and _structure_two_cosets(g, smask, hm, "right"):
+            if hb <= kb and _structure_two_cosets(scan, smask, hm, "right"):
                 found = True
-            if hb >= kb and _structure_two_cosets(g, smask, km, "left"):
+            if hb >= kb and _structure_two_cosets(scan, smask, km, "left"):
                 found = True
     t.test(
         found,
@@ -468,11 +461,7 @@ def _abelian_two_atoms(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, re
         t.skip()
         return
     excluded = mu == 0 and size == n - 6
-    nontrivial = [
-        m
-        for m in f2.atom_masks
-        if m.bit_count() != 2 and not is_subgroup_mask(g, m)
-    ]
+    nontrivial = [m for m in f2.atom_masks if m.bit_count() != 2 and scan.hulls[m] != m]
     if excluded:
         t.bump("excluded_region_instances")
         if any(m.bit_count() == 3 for m in nontrivial):
@@ -486,14 +475,9 @@ def _abelian_two_atoms(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, re
         )
     for hm in nontrivial:
         # |H| <= kappa_2(H) inside <H>, and |H| = 3 when H generates
-        if scan.generates(hm):
-            kap2_h = scan.scan(hm, (2,), collect="none")[2].kappa
-            ok = hm.bit_count() <= kap2_h and hm.bit_count() == 3
-        else:
-            kap2_h = iso.kappa(iso.cayley_in_hull(g, ElementSet(n, hm))[0], 2)
-            ok = hm.bit_count() <= kap2_h
+        kap2_h = iso.kappa(iso.cayley_in_hull(g, ElementSet(n, hm))[0], 2)
         t.test(
-            ok,
+            hm.bit_count() <= kap2_h and (hm.bit_count() == 3 or not scan.generates(hm)),
             set=smask,
             observed={"atom": hm, "kappa2_atom": kap2_h},
             what="degenerate atom bound",
@@ -514,7 +498,7 @@ def _atom_coverage(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -
     g, n = scan.group, scan.n
     size = smask.bit_count()
     f2 = fwd[2]
-    symmetric = inverse_mask(g, smask) == smask
+    symmetric = scan.inverses[smask] == smask
 
     # coverage bound
     if f2.separable and f2.alpha >= 3:
@@ -553,35 +537,27 @@ def _atom_coverage(t: _Tally, scan: GroupScan, smask: int, idx: int, fwd, rev) -
     # the index of S among the generating S, except genuinely semi-normal
     # instances, which are always checked)
     if sem.kind == "semi-normal" or idx % _bijection_stride(n) == 0:
-        graph = cayley_graph(g, ElementSet(n, smask))
-        ai = g.inv[a]
+        # the reverse graph of Cay(G, S) is Cay(G, S^-1); on a Cayley graph
+        # omega = |atoms| alpha / n, so equal atom counts mean equal omega
+        fwd_all = iso.subset_scan(scan.rows(smask), n, (1, 2))
+        rev_all = iso.subset_scan(scan.rows(int(scan.inverses[smask])), n, (1, 2))
         for k in (1, 2):
-            pf = iso.profile(graph, k, FWD)
-            pr = iso.profile(graph, k, REV)
-            ok = (
-                pf.kappa == pr.kappa
-                and pf.separable == pr.separable
-                and pf.alpha == pr.alpha
-                and pf.omega == pr.omega
-            )
+            pf, pr = fwd_all[k], rev_all[k]
+            ok = pf[:3] == pr[:3]  # separable, kappa, alpha
             if pf.separable and ok:
-                rev_set = {fr.mask for fr in pr.fragments}
-                mapped = set()
-                for fr in pf.fragments:
-                    ym = inverse_mask(g, fr.mask)
-                    mapped.add(mask_mul_elem(g, elem_mul_mask(g, ai, ym), a))
-                ok = mapped == rev_set and len(mapped) == len(pf.fragments)
+                ys = np.array(pf.frag_masks, dtype=np.uint32)
+                mapped = np.unique(scan.right[a, scan.left[g.inv[a], scan.inverses[ys]]])
+                ok = (len(pf.atom_masks) == len(pr.atom_masks) and len(mapped) == len(ys)
+                      and np.array_equal(mapped, pr.frag_masks))
             t.test(ok, set=smask, what=f"reversal bijection k={k}")
 
     # large semi-normal 2-atoms are subgroups of near-normal type
     if f2.separable and f2.alpha >= f2.kappa - size + 4:
         for hm in f2.atom_masks:
-            sub_ok = is_subgroup_mask(g, hm)
-            norm = sum(
-                1 for x in range(n) if conjugate_mask(g, x, hm) == hm
-            )
+            # x H x^-1 for every x at once
+            norm = int(np.count_nonzero(scan.right[g.inv, scan.left[:, hm]] == hm))
             t.test(
-                sub_ok and n <= 2 * norm,
+                scan.hulls[hm] == hm and n <= 2 * norm,
                 set=smask,
                 observed={"atom": hm, "normalizer": norm},
                 what="semi-normal atom subgroup",

@@ -272,6 +272,18 @@ def test_subset_scan_rejects_repeated_k():
         subset_scan(g.rows, 7, (1, 2, 1), pin0=True, collect="none")
 
 
+def test_subset_scan_rejects_undefined_k():
+    # kappa_k needs 1 <= k and 2k - 1 <= n; unchecked, (0,) on Cay(Z5, {0, 1})
+    # gave a separable kappa_0 = 0 and (4,) gave kappa_4 = -2
+    z5 = make_group("cyclic:5")
+    rows = cayley_graph(z5, z5.subset([0, 1])).rows
+    assert subset_scan(rows, 5, (3,))[3].kappa == 0
+    for ks in [(0,), (4,), (1, 4), (-1,)]:
+        for pin0 in (False, True):
+            with pytest.raises(ValueError, match="2k - 1"):
+                subset_scan(rows, 5, ks, pin0=pin0)
+
+
 @pytest.mark.parametrize("chunk_bits", [1, 2, 3])
 def test_chunk_merge_matches_oracle(monkeypatch, chunk_bits):
     # chunks of 2-8 subsets make the merge across chunks run on graphs

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoperim import catalog, verify
+from isoperim import iso, verify
 from isoperim.catalog import GroupScan, build, entries, frobenius21, load_manifest
 from isoperim.groups import is_subgroup_mask, normality_witness
 from isoperim.sets import ElementSet
@@ -107,7 +107,7 @@ def _sweep_matches_oracle(scan, ks):
 def test_sweep_equals_scan_to_order_8(monkeypatch, block_bits):
     # every S, generating or not, separable or not, in every group to order
     # 8; with 9 block bits each order-8 group sweeps 32 blocks of 4 rows
-    monkeypatch.setattr(catalog, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(iso, "_CHUNK_BITS", block_bits)
     seen_nongen = seen_nonsep = 0
     for e in entries(8):
         g = build(e.spec)
@@ -157,6 +157,15 @@ def test_sweep_rejects_unknown_level():
         next(GroupScan(build("cyclic:4")).sweep((1,), "all"))
 
 
+def test_scan_and_sweep_reject_undefined_k():
+    scan = GroupScan(build("cyclic:5"))
+    for ks in [(0,), (4,), (1, 4)]:
+        with pytest.raises(ValueError, match="2k - 1"):
+            scan.scan(0b11, ks)
+        with pytest.raises(ValueError, match="2k - 1"):
+            next(scan.sweep(ks, "none"))
+
+
 def test_mirror_check_sees_corrupt_forward_table(monkeypatch):
     # the reverse sweep builds its own image table: breaking only the
     # forward one must surface as a mirror-symmetry counterexample, alone
@@ -176,6 +185,23 @@ def test_mirror_check_sees_corrupt_forward_table(monkeypatch):
             m.setattr(GroupScan, "image_table", corrupt)
             tally = verify._run_group(task)["abelian_two_atoms"]
         assert any(ce.get("what") == "mirror symmetry" for ce in tally.ces), theorems
+
+
+def test_reversal_check_sees_wrong_reverse_rows(monkeypatch):
+    # the reversal bijection scans Cay(G, S^-1) on its own: handing that
+    # scan the rows of Cay(G, S) must surface as a counterexample for S.
+    # {0, 1, 3} in Z7 has fragments that -{0, 1, 3} does not mirror
+    smask, inv = 0b1011, 0b1010001
+    original = GroupScan.rows
+
+    def rows(self, m):
+        return original(self, smask if m == inv else m)
+
+    task = ("cyclic:7", ("atom_coverage",), 0)
+    assert not verify._run_group(task)["atom_coverage"].ces
+    monkeypatch.setattr(GroupScan, "rows", rows)
+    tally = verify._run_group(task)["atom_coverage"]
+    assert {"group": "Z7", "set": [0, 1, 3], "what": "reversal bijection k=1"} in tally.ces
 
 
 def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
@@ -338,7 +364,9 @@ def test_verify_all_12_matches_golden_payload():
     # report on purpose writes golden_text(verify.run("all", max_order=12,
     # seed=0)) to GOLDEN_ALL_12 (this module imports with PYTHONPATH=src:tests
     # from the repository root) and lists the old and new counts per
-    # theorem with the reason.
+    # theorem with the reason.  Order 16 is pinned in verify_all_16.json
+    # beside it, outside tier 1; README gives the one command that compares
+    # a fresh run with it.
     assert golden_text(verify.run("all", max_order=12, seed=0)) == GOLDEN_ALL_12.read_text()
 
 
