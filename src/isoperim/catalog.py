@@ -8,8 +8,10 @@ so that products and powers of many sets run as a few numpy operations
 over its translation tables.  It adds no second copy of a primitive:
 Cayley rows are ``groups.elem_mul_mask``, ``hull`` and the table
 ``hulls`` of every <M> come from ``groups.closure_mask`` alone, the
-sweep's image tables are slices of ``right``, and ``iso._Reducer``,
-under ``subset_scan`` too, reduces its blocks.
+sweep's image tables are slices of ``right``, the ``nibbles`` that
+``products`` reads four elements of A at a time are OR tables of
+``left``, and ``iso._Reducer``, under ``subset_scan`` too, reduces its
+blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ import numpy as np
 from . import iso
 from .groups import FiniteGroup, closure_mask, elem_mul_mask, inverse_mask, make_group
 from .iso import _Reducer, or_table, subset_scan
+
+# products read A four elements at a time
+_NIBBLE = 4
+_NIBBLE_MASK = (1 << _NIBBLE) - 1
 
 
 @dataclass(frozen=True)
@@ -128,12 +134,32 @@ class GroupScan:
         """inverses[M] = mask of M^-1, for every mask M (uint32, 2^n)."""
         return self._table(self._bitcol[0, self.group.inv])
 
+    @cached_property
+    def nibbles(self) -> np.ndarray:
+        """nibbles[q, c << n | B] = mask of C*B, where C holds the elements
+        4q + j for the set bits j of the nibble c (uint32, ceil(n/4) x
+        16 * 2^n): one ``or_table`` over every run of four rows of
+        ``left`` at once, the last run padded with empty rows."""
+        runs = -(-self.n // _NIBBLE)
+        rows = np.zeros((runs * _NIBBLE, 1 << self.n), dtype=np.uint32)
+        rows[:self.n] = self.left
+        gens = rows.reshape(runs, _NIBBLE, -1).swapaxes(0, 1)
+        table = or_table(np.zeros_like(gens[0]), gens)
+        return np.ascontiguousarray(table.swapaxes(0, 1)).reshape(runs, -1)
+
     def products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Masks of A*B for uint32 vectors of masks, pair by pair: the OR
-        of left[x, B] over the x in A."""
+        over the nibbles of A of ``nibbles``' entry for (nibble, B).  The
+        gather index is built in one reused buffer, so a call allocates
+        little beyond its output."""
         out = np.zeros(len(a), dtype=np.uint32)
-        for x, row in enumerate(self.left):
-            out |= np.where(a >> np.uint32(x) & 1 != 0, row[b], 0)
+        idx = np.empty(len(a), dtype=np.uint32)
+        for q, table in enumerate(self.nibbles):
+            np.right_shift(a, _NIBBLE * q, out=idx)
+            idx &= _NIBBLE_MASK
+            idx <<= self.n
+            idx |= b
+            out |= table.take(idx)
         return out
 
     def powers(self, b: np.ndarray):

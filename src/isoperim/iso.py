@@ -30,6 +30,7 @@ it takes kappa, alpha, the atoms and omega from the same record builder.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -39,7 +40,7 @@ import numpy as np
 
 from .digraph import FWD, REV, Digraph, GraphError, image_mask, _k_subset_masks
 from .groups import FiniteGroup, GroupError, closure_mask, subgroup_as_group
-from .sets import ElementSet, bits_of
+from .sets import ElementSet, bits_of, randrange_draws
 
 _CHUNK_BITS = 16  # 2^16 subsets per chunk: about 1 MB of buffers, L2-sized
 _EXHAUSTIVE_CAP = 24
@@ -519,7 +520,9 @@ def check_duality(g: Digraph, k: int) -> CheckResult:
 def check_submodularity(
     g: Digraph, samples: int | None = None, seed: int = 0
 ) -> CheckResult:
-    """|bd(X u Y)| + |bd(X n Y)| <= |bd(X)| + |bd(Y)| over set pairs."""
+    """|bd(X u Y)| + |bd(X n Y)| <= |bd(X)| + |bd(Y)| over set pairs: every
+    pair up to 8 vertices, or ``samples`` seeded ``randrange`` pairs (at
+    most 32 vertices)."""
     if not g.reflexive:
         raise GraphError("submodularity check needs a reflexive graph")
     n, rows = g.n, g.rows
@@ -535,13 +538,8 @@ def check_submodularity(
             (x, y) for x in range(1, full + 1) for y in range(1, full + 1)
         )
     else:
-        import random
-
-        rng = random.Random(seed)
-        pairs = (
-            (rng.randrange(1, full + 1), rng.randrange(1, full + 1))
-            for _ in range(samples)
-        )
+        draws = randrange_draws(random.Random(seed), [(1, full + 1)], 2 * samples)
+        pairs = zip(draws[0::2].tolist(), draws[1::2].tolist())
     checked = 0
     for x, y in pairs:
         checked += 1

@@ -17,11 +17,13 @@ translates from ``GroupScan``'s tables too.
 The set-pair checkers draw their (A, B) pairs as two mask vectors: every
 pair, A outer and B inner, up to order ``_EXHAUSTIVE_PAIR_ORDER``, and
 above it ``_PAIR_SAMPLES`` pairs from the per-(theorem, group) seeded
-``random.Random``, A drawn before B.  They compute products, subgroups and
-coset parts for the whole vector from ``GroupScan``'s translation tables,
-count the passing checks in bulk, and replay only the failures through
-``_Tally.test`` in (pair, check) order, so the counterexamples kept, their
-order and the per-group cap are those of a pair-by-pair loop.
+``random.Random``, A drawn before B: ``sets.randrange_draws`` returns the
+values a ``randrange`` loop would, from one MT19937 stream.  They compute
+products, subgroups and coset parts for the whole vector from
+``GroupScan``'s translation tables, count the passing checks in bulk, and
+replay only the failures through ``_Tally.test`` in (pair, check) order,
+so the counterexamples kept, their order and the per-group cap are those
+of a pair-by-pair loop.
 ``orderbase`` runs the same way over the vector of every S containing 1,
 and it and Olson's |B^j| bound read ``GroupScan.powers``.  Where kappa_k
 of a set inside the subgroup it generates is needed, it is taken in
@@ -53,7 +55,7 @@ from .groups import (
     progression_ratios,
     seminormality,
 )
-from .sets import ElementSet, bits_of
+from .sets import ElementSet, bits_of, randrange_draws
 
 _EXHAUSTIVE_PAIR_ORDER = 8
 _PAIR_SAMPLES = 10_000
@@ -147,12 +149,8 @@ def _pairs(n: int, rng: random.Random, odd_first: bool = False):
         firsts = np.arange(1, full + 1, 2 if odd_first else 1, dtype=np.uint32)
         seconds = np.arange(1, full + 1, dtype=np.uint32)
         return np.repeat(firsts, len(seconds)), np.tile(seconds, len(firsts))
-    lo = 0 if odd_first else 1
-    draws = np.array(
-        [rng.randrange(lo if i % 2 == 0 else 1, full + 1)
-         for i in range(2 * _PAIR_SAMPLES)],
-        dtype=np.uint32,
-    )
+    ranges = [(0, full + 1), (1, full + 1)] if odd_first else [(1, full + 1)]
+    draws = randrange_draws(rng, ranges, 2 * _PAIR_SAMPLES).astype(np.uint32)
     return draws[0::2] | np.uint32(odd_first), draws[1::2]
 
 

@@ -148,6 +148,12 @@ _EXHAUSTIVE_PAIR_ORDER = 8
 _PAIR_SAMPLES = 10_000
 
 
+def o_randrange_draws(rng, ranges, count):
+    """The seeded draws one ``randrange`` call at a time, cycling through
+    ``ranges``."""
+    return [rng.randrange(*ranges[i % len(ranges)]) for i in range(count)]
+
+
 def o_pair_iter(n, rng):
     """Nonempty (A, B) mask pairs: exhaustive for small n, seeded sample above."""
     full = (1 << n) - 1

@@ -29,8 +29,9 @@ from oracles import (
     o_small_sets_pairs,
 )
 
-# one group each of order 12 and 16, both non-abelian
-_SAMPLED = ("dihedral:6", "product:cyclic:2,dihedral:4")
+# one non-abelian group each of order 12 and 16, and Z9, whose masks end
+# in a partial nibble of GroupScan.nibbles
+_SAMPLED = ("dihedral:6", "product:cyclic:2,dihedral:4", "cyclic:9")
 
 
 def _ids(mask):
@@ -121,8 +122,8 @@ _ORACLES = {
 
 @pytest.mark.parametrize("theorem", sorted(_ORACLES))
 def test_pair_checkers_match_scalar_oracles(theorem, monkeypatch):
-    # every group to order 7 (exhaustive pairs), and D5 (sampled pairs);
-    # orderbase draws no pairs, and its oracle runs to order 12
+    # every group to order 7 (exhaustive pairs), and D5 and Z9 (sampled
+    # pairs); orderbase draws no pairs, and its oracle runs to order 12
     def run(spec, oracle):
         if not oracle:
             return verify._run_group((spec, (theorem,), 0))[theorem]
@@ -132,7 +133,7 @@ def test_pair_checkers_match_scalar_oracles(theorem, monkeypatch):
             return verify._run_group((spec, (theorem,), 0))[theorem]
 
     total = 0
-    specs = [e.spec for e in entries(7)] + ["dihedral:5"]
+    specs = [e.spec for e in entries(7)] + ["dihedral:5", "cyclic:9"]
     if theorem == "orderbase":
         specs = [e.spec for e in entries(12)]
     for spec in specs:

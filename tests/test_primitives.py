@@ -3,7 +3,8 @@
 Subgroup closure, Cayley rows, powers and the sweep's image tables each
 have one implementation, which every checker and graph constructor
 reads; here each is compared with the plain-set definition in
-``oracles``.
+``oracles``.  The seeded draws of the sampled checkers are compared with
+the ``randrange`` loop.
 """
 
 import random
@@ -14,9 +15,9 @@ import pytest
 from isoperim.catalog import GroupScan, build, entries, frobenius21
 from isoperim.digraph import cayley_graph
 from isoperim.groups import closure_mask
-from isoperim.sets import ElementSet
+from isoperim.sets import ElementSet, randrange_draws
 
-from oracles import o_closure
+from oracles import o_closure, o_randrange_draws
 
 
 def _ids(mask):
@@ -105,3 +106,51 @@ def test_powers_match_plain_products():
                 assert bool(growing[i]) == (j <= len(sizes)), (g.name, j, i)
                 if j <= len(sizes):
                     assert int(size[i]) == sizes[j - 1], (g.name, j, i)
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_randrange_draws_match_the_loop(n):
+    # both range shapes of verify._pairs at every sampled order: B alone,
+    # and S from [0, 2^n), a power-of-two width that rejects about half
+    # its words, alternating with A from [1, 2^n)
+    full = (1 << n) - 1
+    for ranges in ([(1, full + 1)], [(0, full + 1), (1, full + 1)]):
+        for seed in range(3):
+            loop, vec = random.Random(seed), random.Random(seed)
+            want = o_randrange_draws(loop, ranges, 20_000)
+            assert randrange_draws(vec, ranges, 20_000).tolist() == want, (n, ranges, seed)
+            # the generator is left where the loop leaves it
+            assert vec.getrandbits(32) == loop.getrandbits(32), (n, ranges, seed)
+
+
+class _Trickle:
+    """An MT19937 that hands out at most five words per call."""
+
+    _make = np.random.MT19937
+
+    def __init__(self):
+        self._mt = self._make()
+
+    state = property(lambda self: self._mt.state,
+                     lambda self, value: setattr(self._mt, "state", value))
+
+    def random_raw(self, size):
+        return self._mt.random_raw(min(size, 5))
+
+
+@pytest.mark.parametrize("trickle", [False, True])
+def test_randrange_draws_edges(trickle, monkeypatch):
+    # widths 1 and 2^32 - 1, odd counts and none at all; with ``trickle``
+    # every batch of words runs short and the phase carries across batches
+    if trickle:
+        monkeypatch.setattr(np.random, "MT19937", _Trickle)
+    for ranges in ([(5, 6)], [(3, 9), (0, 2)], [(0, 2**32 - 1)],
+                   [(0, 2**32 - 1), (7, 2**31 + 8)], [(0, 512), (1, 512)]):
+        for count in (0, 1, 2, 7, 301):
+            loop, vec = random.Random(count), random.Random(count)
+            want = o_randrange_draws(loop, ranges, count)
+            assert randrange_draws(vec, ranges, count).tolist() == want, (ranges, count)
+            assert vec.getstate() == loop.getstate(), (ranges, count)
+    for ranges in ([(0, 2**32 + 1)], [(1, 2), (0, 2**33)], [(4, 4)], [], [(0, 2)] * 3):
+        with pytest.raises(ValueError):
+            randrange_draws(random.Random(0), ranges, 1)
