@@ -135,6 +135,20 @@ class GroupScan:
         return self._table(self._bitcol[0, self.group.inv])
 
     @cached_property
+    def conjugates(self) -> np.ndarray:
+        """conjugates[a, x] = index of a^-1*x*a (n x n)."""
+        t = np.array(self.group.table)
+        return t[t[list(self.group.inv)], np.arange(self.n)[:, None]]
+
+    def seminormal_witness(self, smask: int) -> int | None:
+        """Least a with x*S = S*(a^-1 x a) for every x, from the columns
+        ``left[:, S]`` and ``right[:, S]``: 0 when S is normal, None when
+        S is neither (``groups.seminormality``).  Order at most 16."""
+        fits = (self.right[:, smask][self.conjugates] == self.left[:, smask]).all(axis=1)
+        a = int(fits.argmax())
+        return a if fits[a] else None
+
+    @cached_property
     def nibbles(self) -> np.ndarray:
         """nibbles[q, c << n | B] = mask of C*B, where C holds the elements
         4q + j for the set bits j of the nibble c (uint32, ceil(n/4) x

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .sets import ElementSet, bits_of, mask_of
+from .sets import ElementSet, bits_of
 
 
 class GroupError(ValueError):
@@ -350,16 +350,6 @@ def inverse_mask(g: FiniteGroup, smask: int) -> int:
     return out
 
 
-def conjugate_mask(g: FiniteGroup, x: int, smask: int) -> int:
-    """Mask of x*S*x^-1."""
-    t = g.table
-    xi = g.inv[x]
-    out = 0
-    for s in bits_of(smask):
-        out |= 1 << t[t[x][s]][xi]
-    return out
-
-
 def closure_mask(g: FiniteGroup, smask: int) -> int:
     """Mask of the subgroup generated by S (identity for empty S).
 
@@ -387,9 +377,10 @@ def is_subgroup_mask(g: FiniteGroup, hmask: int) -> bool:
 
 
 def normality_witness(g: FiniteGroup, hmask: int) -> int | None:
-    """First x with x*H*x^-1 != H, or None when H is normal."""
+    """First x with x*H*x^-1 != H, or None when H is normal: times x on
+    the right, x*H*x^-1 = H says x*H = H*x, so only translates are compared."""
     for x in range(g.order):
-        if conjugate_mask(g, x, hmask) != hmask:
+        if elem_mul_mask(g, x, hmask) != mask_mul_elem(g, hmask, x):
             return x
     return None
 
@@ -583,30 +574,19 @@ def seminormality(g: FiniteGroup, s: ElementSet) -> SeminormalityResult:
     """Classify S as normal, semi-normal (with witness a), or neither.
 
     S is semi-normal when some a has x*S*x^-1 = S*(a^-1 x a x^-1) for
-    every x.  Exhaustive over a, with a cheap candidate filter derived
-    from the first x that moves S.
+    every x; times x on the right, that is x*S = S*(a^-1 x a), which
+    compares translates of S only.  For a = 1 it reads x*S = S*x, which
+    is normality, so the least a that fits is 1 exactly when S is normal.
     """
     sm = _check_universe(g, s, "S")
     n = g.order
     t, inv = g.table, g.inv
-    conj = [conjugate_mask(g, x, sm) for x in range(n)]
-    x0 = next((x for x in range(n) if conj[x] != sm), None)
-    if x0 is None:
-        return SeminormalityResult("normal", None)
-    # c must satisfy S*c = conj[x0], i.e. c in the intersection of s^-1*conj[x0]
-    cand = (1 << n) - 1
-    for sb in bits_of(sm):
-        cand &= elem_mul_mask(g, inv[sb], conj[x0])
-        if not cand:
-            return SeminormalityResult("neither", None)
+    left = [elem_mul_mask(g, x, sm) for x in range(n)]
+    right = [mask_mul_elem(g, sm, x) for x in range(n)]
     for a in range(n):
         ai = inv[a]
-        c0 = t[t[t[ai][x0]][a]][inv[x0]]
-        if not (cand >> c0) & 1:
-            continue
-        if all(
-            conj[x] == mask_mul_elem(g, sm, t[t[t[ai][x]][a]][inv[x]])
-            for x in range(n)
-        ):
+        if all(right[t[t[ai][x]][a]] == left[x] for x in range(n)):
+            if a == 0:
+                return SeminormalityResult("normal", None)
             return SeminormalityResult("semi-normal", a)
     return SeminormalityResult("neither", None)

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .digraph import Digraph, GraphError, image_mask, reverse
+from .digraph import Digraph, GraphError, image_mask
 from .groups import (
     FiniteGroup,
     GroupError,

@@ -103,6 +103,23 @@ def o_cayley_adj(table, s, rev=False):
     return tuple({table[x][y] for y in s} for x in range(len(table)))
 
 
+def o_seminormality(table, s):
+    """(kind, least a) for a set S, by the definition: S is normal when
+    x S x^-1 = S for every x, and semi-normal with witness a when
+    x S x^-1 = S (a^-1 x a x^-1) for every x.  The least a is 0 for a
+    normal S and None when S is neither."""
+    n = len(table)
+    inv = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
+    s = set(s)
+    conj = [{table[table[x][y]][inv[x]] for y in s} for x in range(n)]
+    for a in range(n):
+        if all(conj[x] == {table[y][table[table[table[inv[a]][x]][a]][inv[x]]] for y in s}
+               for x in range(n)):
+            normal = all(conj[x] == s for x in range(n))
+            return ("normal" if normal else "semi-normal", a)
+    return ("neither", None)
+
+
 def o_local_connectivity(adj, n, x, y):
     """min |boundary(A)| over A with x in A and y outside Gamma(A)."""
     best = None

@@ -3,8 +3,9 @@
 Subgroup closure, Cayley rows, powers and the sweep's image tables each
 have one implementation, which every checker and graph constructor
 reads; here each is compared with the plain-set definition in
-``oracles``.  The seeded draws of the sampled checkers are compared with
-the ``randrange`` loop.
+``oracles``, as are semi-normality and normalisers, which read
+translates only.  The seeded draws of the sampled checkers are compared
+with the ``randrange`` loop.
 """
 
 import random
@@ -14,10 +15,10 @@ import pytest
 
 from isoperim.catalog import GroupScan, build, entries, frobenius21
 from isoperim.digraph import cayley_graph
-from isoperim.groups import closure_mask
+from isoperim.groups import closure_mask, normality_witness, seminormality
 from isoperim.sets import ElementSet, randrange_draws
 
-from oracles import o_closure, o_randrange_draws
+from oracles import o_closure, o_randrange_draws, o_seminormality
 
 
 def _ids(mask):
@@ -106,6 +107,41 @@ def test_powers_match_plain_products():
                 assert bool(growing[i]) == (j <= len(sizes)), (g.name, j, i)
                 if j <= len(sizes):
                     assert int(size[i]) == sizes[j - 1], (g.name, j, i)
+
+
+def test_seminormality_matches_the_definition():
+    # every S of every catalog group to order 10, the library call and the
+    # table read alike, against the conjugate form of the definition
+    semi_d5 = 0
+    for e in entries(10):
+        g = build(e.spec)
+        scan = GroupScan(g)
+        n = g.order
+        for sm in range(1 << n):
+            kind, a = o_seminormality(g.table, _ids(sm))
+            want = (kind, a if kind == "semi-normal" else None)
+            assert seminormality(g, ElementSet(n, sm)) == want, (g.name, sm)
+            assert scan.seminormal_witness(sm) == a, (g.name, sm)
+            semi_d5 += g.name == "D5" and kind == "semi-normal" and sm & 1
+    assert semi_d5 == 54  # the semi-normal S of D5 that contain 1
+
+
+def test_normalisers_match_plain_sets():
+    # N(H) = {x : x H x^-1 = H} for every subgroup H (the distinct values
+    # of hulls) of every catalog group to order 16
+    for e in entries(16):
+        g = build(e.spec)
+        scan = GroupScan(g)
+        n = g.order
+        inv = [row.index(0) for row in g.table]
+        for hm in np.unique(scan.hulls).tolist():
+            h = _ids(hm)
+            norm = [x for x in range(n)
+                    if {g.table[g.table[x][y]][inv[x]] for y in h} == h]
+            outside = next((x for x in range(n) if x not in norm), None)
+            assert normality_witness(g, hm) == outside, (g.name, hm)
+            count = np.count_nonzero(scan.left[:, hm] == scan.right[:, hm])
+            assert count == len(norm), (g.name, hm)
 
 
 @pytest.mark.parametrize("n", range(9, 17))

@@ -204,6 +204,17 @@ def test_reversal_check_sees_wrong_reverse_rows(monkeypatch):
     assert {"group": "Z7", "set": [0, 1, 3], "what": "reversal bijection k=1"} in tally.ces
 
 
+def test_reversal_check_sees_a_wrong_classification(monkeypatch):
+    # the witness a cannot be told from any other (see _atom_coverage), but
+    # the classification can: calling every S of S3 normal puts the S that
+    # are neither through the k = 1 comparison, and {0, 1, 2} fails it
+    task = ("symmetric:3", ("atom_coverage",), 0)
+    assert not verify._run_group(task)["atom_coverage"].ces
+    monkeypatch.setattr(GroupScan, "seminormal_witness", lambda self, smask: 0)
+    tally = verify._run_group(task)["atom_coverage"]
+    assert {"group": "S3", "set": [0, 1, 2], "what": "reversal bijection k=1"} in tally.ces
+
+
 def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
     # small_sets tests 2-atoms with trivial left stabilizer {a : aH = H},
     # and atom_coverage wants a nontrivial one for large symmetric atoms.
@@ -235,6 +246,12 @@ def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
     assert (small.tested, small.passing) == (1, 1)
     assert {"group": g.name, "set": list(range(n)), "what": "symmetric stabilizer",
             "observed": {"atom": list(ElementSet(n, hm))}} in cover.ces
+    # H is no subgroup, so the record carries the size of its normaliser
+    # {x : x H x^-1 = H}: two here, against one for the left stabilizer
+    h = set(ElementSet(n, hm))
+    norm = sum({g.table[g.table[x][y]][g.inv[x]] for y in h} == h for x in range(n))
+    assert {"group": g.name, "set": list(range(n)), "what": "semi-normal atom subgroup",
+            "observed": {"atom": list(ElementSet(n, hm)), "normalizer": norm}} in cover.ces
 
 
 def test_tally_turns_masks_into_ids_on_failure():
