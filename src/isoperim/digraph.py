@@ -36,7 +36,7 @@ class Digraph:
     automorphisms, one per vertex, with ``translations[a][0] == a``; they
     are checked at construction, so they prove the graph vertex-transitive
     and ``transitive`` is derived from them.  Graphs are equal when their
-    rows and ``translations`` are, since profiles pinned under the
+    rows and ``translations`` are, since atoms records pinned under the
     translations are cached apart from those of the plain graph.
     """
 

@@ -22,9 +22,13 @@ gives kappa and alpha, and fragments and atoms come from the same keys.
 Single-graph queries scan only what they return.  ``kappa`` (below the
 flow threshold), ``alpha``, ``atoms``, ``omega`` and ``classify`` read one
 cached atoms-level record per (graph, k, sign), scanned at collect
-"atoms": no fragment is listed.  ``profile``, ``fragments`` and the
-``check_*`` functions read the full profile, scanned at collect "all";
-it takes kappa, alpha, the atoms and omega from the same record builder.
+"atoms": no fragment is listed.  Above 16 vertices a vertex-transitive
+graph's record is scanned through vertex 0 and its few atoms expanded by
+the translations.  ``profile``, ``fragments`` and the ``check_*``
+functions read the full profile, scanned at collect "all" and never
+pinned, since mapping every fragment by every translation costs far more
+than the half of the scan that pinning saves; it takes kappa, alpha, the
+atoms and omega from the same record builder.
 """
 
 from __future__ import annotations
@@ -279,14 +283,6 @@ class _AtomRecord(NamedTuple):
     atom_masks: tuple[int, ...] | None
 
 
-def _scan(g: Digraph, k: int, sign: str, collect: str) -> tuple[ScanResult, bool]:
-    """The scan of one (graph, k, sign), and whether it was pinned to the
-    subsets through vertex 0 (transitive graphs above 16 vertices)."""
-    use_pin = g.transitive and g.n > 16
-    rows = g.rows_for(sign)
-    return subset_scan(rows, g.n, (k,), pin0=use_pin, collect=collect)[k], use_pin
-
-
 def _atom_record(g: Digraph, k: int, res: ScanResult, pinned: bool) -> _AtomRecord:
     """The atoms-level record from a scan at collect "atoms" or "all".  A
     pinned scan found the atoms through vertex 0; every atom translates
@@ -306,21 +302,24 @@ def _atom_record(g: Digraph, k: int, res: ScanResult, pinned: bool) -> _AtomReco
 
 @lru_cache(maxsize=128)
 def _atoms_impl(g: Digraph, k: int, sign: str) -> _AtomRecord:
-    return _atom_record(g, k, *_scan(g, k, sign, "atoms"))
+    # pinning halves the scan, and the few atoms expand cheaply
+    pin = g.transitive and g.n > 16
+    res = subset_scan(g.rows_for(sign), g.n, (k,), pin0=pin, collect="atoms")[k]
+    return _atom_record(g, k, res, pin)
 
 
 @lru_cache(maxsize=128)
 def _profile_impl(g: Digraph, k: int, sign: str) -> IsoProfile:
-    res, pinned = _scan(g, k, sign, "all")
-    rec = _atom_record(g, k, res, pinned)
+    # unpinned: expanding every fragment by every translation costs far
+    # more than the half of the scan that pinning saves
+    res = subset_scan(g.rows_for(sign), g.n, (k,), collect="all")[k]
+    rec = _atom_record(g, k, res, False)
     n = g.n
     if not rec.separable:
         return IsoProfile(k=k, sign=sign, separable=False, kappa=rec.kappa,
                           alpha=rec.alpha, omega=rec.omega, atoms=None,
                           fragments=None, fragments_count=math.comb(n, k))
     frag_masks = res.frag_masks
-    if pinned:
-        frag_masks = _expand_by_translation(frag_masks, g.translations)
     return IsoProfile(
         k=k,
         sign=sign,
@@ -538,7 +537,7 @@ def check_submodularity(
             (x, y) for x in range(1, full + 1) for y in range(1, full + 1)
         )
     else:
-        draws = randrange_draws(random.Random(seed), [(1, full + 1)], 2 * samples)
+        draws = randrange_draws(random.Random(seed), 1, full + 1, 2 * samples)
         pairs = zip(draws[0::2].tolist(), draws[1::2].tolist())
     checked = 0
     for x, y in pairs:

@@ -7,7 +7,8 @@ over a universe ``{0, ..., universe-1}``.  Hot loops work on the raw
 at API boundaries.
 
 ``randrange_draws`` is the one seeded-draw primitive: the values a loop of
-``random.Random.randrange`` calls returns, as one numpy vector.
+``random.Random.randrange`` calls over one range returns, as one numpy
+vector read from the generator's own ``getrandbits`` words.
 """
 
 from __future__ import annotations
@@ -36,72 +37,28 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def randrange_draws(rng: random.Random, ranges, count: int) -> np.ndarray:
-    """``[rng.randrange(*ranges[i % len(ranges)]) for i in range(count)]``
-    as an int64 vector, leaving ``rng`` in the state that loop leaves it in.
-    ``ranges`` holds one or two ``(start, stop)`` pairs, each of width at
-    most 2^32 - 1.
+def randrange_draws(rng: random.Random, start: int, stop: int, count: int) -> np.ndarray:
+    """``[rng.randrange(start, stop) for _ in range(count)]`` as an int64
+    vector, for a width ``stop - start`` of 1 to 2^32 - 1.
 
-    The words are ``rng``'s own ``genrand_uint32`` stream, read from a numpy
-    ``MT19937`` set to its state.  A range of width w takes them as CPython's
-    ``_randbelow`` does: r = word >> (32 - k) with k = w.bit_length(),
-    rejected while r >= w.  With two ranges, the range a word serves (its
-    phase) follows from the words before it: a word both accept flips the
-    phase, a word only one accepts sets the phase after it, and a word
-    neither accepts keeps it.  So the phase after a word is the phase set by
-    the last setting word, flipped by the parity of the flips since.
+    ``randrange`` takes r = word >> (32 - k) from each of ``rng``'s 32-bit
+    words, with k the width's bit length, and rejects r >= width; one
+    ``getrandbits(32 * m)`` call returns the next m words, the first in its
+    low bits.  A batch is sized from the expected rejection rate, so a
+    second one is rarely needed.  ``rng`` ends past the words drawn.
     """
-    spans = [(start, stop - start) for start, stop in ranges]
-    if len(spans) not in (1, 2):
-        raise ValueError(f"randrange_draws takes one or two ranges, not {len(spans)}")
-    for _, width in spans:
-        if width <= 0:
-            raise ValueError(f"empty range for randrange_draws: {spans}")
-        if width.bit_length() > 32:
-            raise ValueError(f"range width {width} needs more than 32 bits")
-    starts = np.array([start for start, _ in spans], dtype=np.int64)
-    widths = np.array([[width] for _, width in spans], dtype=np.uint64)
-    shifts = np.array([[32 - width.bit_length()] for _, width in spans], dtype=np.uint64)
-    # expected words per draw, averaged over the ranges
-    cost = sum((1 << width.bit_length()) / width for _, width in spans) / len(spans)
-    words = np.random.MT19937()
-    state = rng.getstate()[1]
-    words.state = {"bit_generator": "MT19937",
-                   "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]}}
-    out, got, used = [np.zeros(0, dtype=np.int64)], 0, 0
+    width = stop - start
+    if not 0 < width < 1 << 32:
+        raise ValueError(f"randrange_draws needs a width of 1 to 2^32 - 1, not {width}")
+    shift = 32 - width.bit_length()
+    cost = (1 << width.bit_length()) / width  # expected words per draw
+    out, got = [np.zeros(0, dtype=np.uint32)], 0
     while got < count:
-        need = count - got
-        r = words.random_raw(int(need * cost * 1.1) + 64) >> shifts
-        size = r.shape[1]
-        accept = r < widths
-        if len(spans) == 1:
-            phase = np.zeros(size, dtype=np.intp)
-        else:
-            phase = _phases(accept, got % 2)
-        at = np.flatnonzero(accept[phase, np.arange(size)])[:need]
-        out.append(r[phase[at], at].astype(np.int64) + starts[phase[at]])
-        got += len(at)
-        # a short batch is used up, and the next one carries on
-        used += int(at[-1]) + 1 if got == count else size
-    if used:
-        rng.getrandbits(32 * used)
-    return np.concatenate(out)
-
-
-def _phases(accept: np.ndarray, first: int) -> np.ndarray:
-    """The range (0 or 1) each word serves, from the two ranges' accept
-    flags (2 x words) and the range of the first word."""
-    flips = np.cumsum(accept[0] & accept[1])
-    sets = np.flatnonzero(accept[0] ^ accept[1])
-    # index of the last setting word at or before each word, or -1
-    last = np.full(accept.shape[1], -1, dtype=np.intp)
-    last[sets] = sets
-    np.maximum.accumulate(last, out=last)
-    seen = last >= 0
-    # only range 0 accepting moves to range 1, only range 1 back to range 0
-    base = np.where(seen, accept[0, last], first)
-    after = base ^ ((flips - np.where(seen, flips[last], 0)) & 1)
-    return np.concatenate(([first], after[:-1])).astype(np.intp)
+        m = int((count - got) * cost * 1.1) + 64
+        r = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> shift
+        out.append(r[r < width][:count - got])
+        got += len(out[-1])
+    return np.concatenate(out).astype(np.int64) + start
 
 
 class ElementSet:

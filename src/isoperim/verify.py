@@ -17,8 +17,9 @@ translates from ``GroupScan``'s tables too.
 The set-pair checkers draw their (A, B) pairs as two mask vectors: every
 pair, A outer and B inner, up to order ``_EXHAUSTIVE_PAIR_ORDER``, and
 above it ``_PAIR_SAMPLES`` pairs from the per-(theorem, group) seeded
-``random.Random``, A drawn before B: ``sets.randrange_draws`` returns the
-values a ``randrange`` loop would, from one MT19937 stream.  They compute
+``random.Random``, A drawn before B, both from ``randrange(1, 2^n)``:
+``sets.randrange_draws`` returns the values that loop would, from the
+generator's own ``getrandbits`` words.  They compute
 products, subgroups and coset parts for the whole vector from
 ``GroupScan``'s translation tables, count the passing checks in bulk, and
 replay only the failures through ``_Tally.test`` in (pair, check) order,
@@ -141,14 +142,14 @@ def _instance_seed(seed: int, theorem: str, spec: str) -> int:
 def _pairs(n: int, rng: random.Random, odd_first: bool = False):
     """Nonempty (A, B) mask pairs as two uint32 vectors: every pair, A outer
     and B inner, up to order _EXHAUSTIVE_PAIR_ORDER, and _PAIR_SAMPLES seeded
-    draws above it, A before B in each.  With ``odd_first`` A contains 1."""
+    draws above it, A before B in each.  With ``odd_first`` A contains 1:
+    the draw of A is ORed with 1."""
     full = (1 << n) - 1
     if n <= _EXHAUSTIVE_PAIR_ORDER:
         firsts = np.arange(1, full + 1, 2 if odd_first else 1, dtype=np.uint32)
         seconds = np.arange(1, full + 1, dtype=np.uint32)
         return np.repeat(firsts, len(seconds)), np.tile(seconds, len(firsts))
-    ranges = [(0, full + 1), (1, full + 1)] if odd_first else [(1, full + 1)]
-    draws = randrange_draws(rng, ranges, 2 * _PAIR_SAMPLES).astype(np.uint32)
+    draws = randrange_draws(rng, 1, full + 1, 2 * _PAIR_SAMPLES).astype(np.uint32)
     return draws[0::2] | np.uint32(odd_first), draws[1::2]
 
 

@@ -96,6 +96,27 @@ def assert_scan_matches_oracle(res, oracle, collect, through=None):
         assert list(res.frag_masks) == sorted(res.frag_masks)
 
 
+def o_pinned_profile(g, k, sign):
+    """A full profile built through vertex 0: one pinned scan, then every
+    atom and fragment mapped by every translation of ``g`` and omega
+    counted per vertex, on plain sets.  Returns (separable, kappa, alpha,
+    omega, atom masks, fragment masks, fragments_count), masks ascending."""
+    from isoperim.iso import subset_scan
+
+    n = g.n
+    res = subset_scan(g.rows_for(sign), n, (k,), pin0=True, collect="all")[k]
+    if not res.separable:
+        return False, res.kappa, k, math.comb(n - 1, k - 1), None, None, math.comb(n, k)
+
+    def expand(masks):
+        return sorted({sum(1 << perm[v] for v in range(n) if m >> v & 1)
+                       for perm in g.translations for m in masks})
+
+    ats, frags = expand(res.atom_masks), expand(res.frag_masks)
+    omega = min(sum(m >> v & 1 for m in ats) for v in range(n))
+    return True, res.kappa, res.alpha, omega, ats, frags, len(frags)
+
+
 def o_cayley_adj(table, s, rev=False):
     """Successor sets of Cay(G, S), x -> xS, or of its reverse Cay(G, S^-1)."""
     if rev:
@@ -163,12 +184,6 @@ def o_literal_orderbase_zone(n):
 
 _EXHAUSTIVE_PAIR_ORDER = 8
 _PAIR_SAMPLES = 10_000
-
-
-def o_randrange_draws(rng, ranges, count):
-    """The seeded draws one ``randrange`` call at a time, cycling through
-    ``ranges``."""
-    return [rng.randrange(*ranges[i % len(ranges)]) for i in range(count)]
 
 
 def o_pair_iter(n, rng):
@@ -304,7 +319,7 @@ def o_coset_deficiency(g, scan, rng, t):
         pairs = ((sm, am) for sm in range(1, full + 1, 2) for am in range(1, full + 1))
     else:
         pairs = (
-            (rng.randrange(0, full + 1) | 1, rng.randrange(1, full + 1))
+            (rng.randrange(1, full + 1) | 1, rng.randrange(1, full + 1))
             for _ in range(_PAIR_SAMPLES)
         )
     kappa_cache = {}

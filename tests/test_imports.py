@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the sampled checkers run without loading ``numpy.random``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,18 @@ def unused_imports(source: str) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_sampled_pairs_load_no_numpy_random():
+    # the seeded draws read random.Random's own words; numpy.random costs
+    # about 10 ms and 0.7 MB on first import, so none of the package may
+    # load it.  A fresh interpreter, since the tests import it themselves
+    code = ("import sys\n"
+            "from isoperim import verify\n"
+            "assert verify.run('coset_deficiency', max_order=9)[0].ok\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

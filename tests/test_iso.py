@@ -35,7 +35,7 @@ from isoperim.iso import (
 from isoperim.menger import kappa1_flow
 from isoperim import iso as iso_mod
 
-from oracles import adj_sets, assert_scan_matches_oracle, o_kappa
+from oracles import adj_sets, assert_scan_matches_oracle, o_kappa, o_pinned_profile
 
 
 def cay(spec, elems):
@@ -131,14 +131,22 @@ def test_exhaustive_cap():
 
 
 def test_pinned_expansion_matches_full_scan():
-    # above 16 vertices profiles pin at the identity and expand by
-    # translation; the result must match a raw full scan
-    g, z18 = cay("cyclic:18", [0, 1, 5])
-    p = profile(g, 1)
-    res = subset_scan(g.rows, 18, (1,), pin0=False, collect="all")[1]
-    assert res.kappa == p.kappa
-    assert tuple(f.mask for f in p.fragments) == res.frag_masks
-    assert p.alpha == res.alpha
+    # profiles scan every subset; on vertex-transitive graphs of 17-20
+    # vertices they must equal a scan through vertex 0 whose atoms and
+    # fragments are expanded by every translation (the last graph is
+    # complete, so not 1-separable)
+    for spec, elems in (("cyclic:17", [0, 1, 4]), ("dihedral:9", [0, 3]),
+                        ("cyclic:18", [0, 1, 5]), ("cyclic:19", [0, 2, 7]),
+                        ("dihedral:10", [0, 1, 13]), ("cyclic:20", [0, 1, 6]),
+                        ("cyclic:17", range(17))):
+        g, _ = cay(spec, elems)
+        for k in (1, 2):
+            for sign in (FWD, REV):
+                p = profile(g, k, sign)
+                masks = [None if sets is None else [x.mask for x in sets]
+                         for sets in (p.atoms, p.fragments)]
+                got = (p.separable, p.kappa, p.alpha, p.omega, *masks, p.fragments_count)
+                assert got == o_pinned_profile(g, k, sign), (spec, k, sign)
 
 
 # ---------------------------------------------------------------------------

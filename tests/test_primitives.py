@@ -4,8 +4,10 @@ Subgroup closure, Cayley rows, powers and the sweep's image tables each
 have one implementation, which every checker and graph constructor
 reads; here each is compared with the plain-set definition in
 ``oracles``, as are semi-normality and normalisers, which read
-translates only.  The seeded draws of the sampled checkers are compared
-with the ``randrange`` loop.
+translates only.  The count of generating sets that ``hulls`` gives is
+checked against P. Hall's Moebius sum over a plain-set subgroup lattice.
+The seeded draws of the sampled checkers are compared with the
+``randrange`` loop.
 """
 
 import random
@@ -18,7 +20,7 @@ from isoperim.digraph import cayley_graph
 from isoperim.groups import closure_mask, normality_witness, seminormality
 from isoperim.sets import ElementSet, randrange_draws
 
-from oracles import o_closure, o_randrange_draws, o_seminormality
+from oracles import o_closure, o_seminormality
 
 
 def _ids(mask):
@@ -54,6 +56,36 @@ def test_closure_matches_plain_sets():
     assert checked > 12_000
     with pytest.raises(ValueError):
         GroupScan(frobenius21()).hulls
+
+
+def _subgroup_lattice(table):
+    """Every subgroup, as frozensets of plain ids: the cyclic subgroups
+    closed under joins until nothing new appears."""
+    subs = {frozenset(o_closure(table, {x})) for x in range(len(table))}
+    new = set(subs)
+    while new:
+        joins = {frozenset(o_closure(table, h | k)) for h in new for k in subs}
+        new = joins - subs
+        subs |= new
+    return subs
+
+
+def test_hulls_count_generating_sets_by_moebius():
+    # P. Hall: the S containing 1 that generate G number
+    # sum over subgroups H of mu(H, G) 2^(|H| - 1), with the Moebius
+    # function of the subgroup lattice built from plain-set closures
+    total = 0
+    for e in entries(16):
+        g = build(e.spec)
+        top = frozenset(range(g.order))
+        mu = {}
+        for h in sorted(_subgroup_lattice(g.table), key=len, reverse=True):
+            mu[h] = 1 if h == top else -sum(m for k, m in mu.items() if h < k)
+        want = sum(m << len(h) - 1 for h, m in mu.items())
+        hulls = GroupScan(g).hulls
+        assert np.count_nonzero(hulls[1::2] == (1 << g.order) - 1) == want, e.name
+        total += want
+    assert total == 302_783
 
 
 def test_cayley_rows_are_left_translates():
@@ -144,49 +176,46 @@ def test_normalisers_match_plain_sets():
             assert count == len(norm), (g.name, hm)
 
 
+def _loop(rng, start, stop, count):
+    return [rng.randrange(start, stop) for _ in range(count)]
+
+
 @pytest.mark.parametrize("n", range(9, 17))
 def test_randrange_draws_match_the_loop(n):
-    # both range shapes of verify._pairs at every sampled order: B alone,
-    # and S from [0, 2^n), a power-of-two width that rejects about half
-    # its words, alternating with A from [1, 2^n)
+    # the range of verify._pairs at every sampled order
     full = (1 << n) - 1
-    for ranges in ([(1, full + 1)], [(0, full + 1), (1, full + 1)]):
-        for seed in range(3):
-            loop, vec = random.Random(seed), random.Random(seed)
-            want = o_randrange_draws(loop, ranges, 20_000)
-            assert randrange_draws(vec, ranges, 20_000).tolist() == want, (n, ranges, seed)
-            # the generator is left where the loop leaves it
-            assert vec.getrandbits(32) == loop.getrandbits(32), (n, ranges, seed)
+    for seed in range(3):
+        want = _loop(random.Random(seed), 1, full + 1, 20_000)
+        got = randrange_draws(random.Random(seed), 1, full + 1, 20_000)
+        assert got.tolist() == want, (n, seed)
 
 
-class _Trickle:
-    """An MT19937 that hands out at most five words per call."""
+class _Stubborn(random.Random):
+    """A generator whose first 2,000 32-bit words are all ones, which every
+    width rejects; ``getrandbits`` reads one word stream however it is cut."""
 
-    _make = np.random.MT19937
+    def seed(self, a=None, version=2):
+        super().seed(a, version)
+        self.ones = 2_000
 
-    def __init__(self):
-        self._mt = self._make()
+    def getrandbits(self, k):
+        words = []
+        for _ in range(-(-k // 32)):
+            self.ones -= 1
+            words.append(0xFFFFFFFF if self.ones >= 0 else super().getrandbits(32))
+        value = sum(w << 32 * i for i, w in enumerate(words))
+        return value >> 32 - k if k < 32 else value
 
-    state = property(lambda self: self._mt.state,
-                     lambda self, value: setattr(self._mt, "state", value))
 
-    def random_raw(self, size):
-        return self._mt.random_raw(min(size, 5))
-
-
-@pytest.mark.parametrize("trickle", [False, True])
-def test_randrange_draws_edges(trickle, monkeypatch):
-    # widths 1 and 2^32 - 1, odd counts and none at all; with ``trickle``
-    # every batch of words runs short and the phase carries across batches
-    if trickle:
-        monkeypatch.setattr(np.random, "MT19937", _Trickle)
-    for ranges in ([(5, 6)], [(3, 9), (0, 2)], [(0, 2**32 - 1)],
-                   [(0, 2**32 - 1), (7, 2**31 + 8)], [(0, 512), (1, 512)]):
-        for count in (0, 1, 2, 7, 301):
-            loop, vec = random.Random(count), random.Random(count)
-            want = o_randrange_draws(loop, ranges, count)
-            assert randrange_draws(vec, ranges, count).tolist() == want, (ranges, count)
-            assert vec.getstate() == loop.getstate(), (ranges, count)
-    for ranges in ([(0, 2**32 + 1)], [(1, 2), (0, 2**33)], [(4, 4)], [], [(0, 2)] * 3):
+@pytest.mark.parametrize("stubborn", [False, True])
+def test_randrange_draws_edges(stubborn):
+    # widths 1 and 2^32 - 1, odd counts and none at all; with ``stubborn``
+    # the first batch of words comes up short, so the draw loops
+    make = _Stubborn if stubborn else random.Random
+    for start, stop in ((5, 6), (0, 2**32 - 1)):
+        for count in (0, 1, 7, 301):
+            want = _loop(make(count), start, stop, count)
+            assert randrange_draws(make(count), start, stop, count).tolist() == want, (stop, count)
+    for start, stop in ((0, 2**32 + 1), (0, 2**32), (4, 4), (5, 3)):
         with pytest.raises(ValueError):
-            randrange_draws(random.Random(0), ranges, 1)
+            randrange_draws(random.Random(0), start, stop, 1)

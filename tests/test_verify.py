@@ -219,39 +219,44 @@ def test_stabilizer_checks_read_left_stabilizers(monkeypatch):
     # small_sets tests 2-atoms with trivial left stabilizer {a : aH = H},
     # and atom_coverage wants a nontrivial one for large symmetric atoms.
     # On the catalog's real atoms both stabilizers agree wherever the
-    # checkers look, so a fake sweep hands them an H of D6 whose left
-    # stabilizer is trivial and whose right stabilizer {a : Ha = H} is not
+    # checkers look, so a fake sweep hands them a set H whose left
+    # stabilizer is trivial and whose right stabilizer {a : Ha = H} is not:
+    # the first such H of D6, and in D7 H = {0, 1, 3, 7, 8, 10}, whose
+    # normaliser (1) is smaller than its right stabilizer (2)
     from isoperim.iso import ScanResult
 
-    g = build("dihedral:6")
-    n, full = g.order, (1 << g.order) - 1
-
-    def stab(ids, side):
+    def stab(g, ids, side):
         prod = (lambda a, h: g.table[a][h]) if side == "left" else (lambda a, h: g.table[h][a])
-        return sum({prod(a, h) for h in ids} == ids for a in range(n))
+        return sum({prod(a, h) for h in ids} == ids for a in range(g.order))
 
-    hm = next(m for m in range(1, full, 2)
-              if stab(set(ElementSet(n, m)), "left") == 1
-              and stab(set(ElementSet(n, m)), "right") >= 2)
-    atom = ScanResult(True, 1, hm.bit_count(), (hm,), None, 1)
+    for spec, hm in (("dihedral:6", None), ("dihedral:7", 1419)):
+        g = build(spec)
+        n, full = g.order, (1 << g.order) - 1
+        if hm is None:
+            hm = next(m for m in range(1, full, 2)
+                      if stab(g, set(ElementSet(n, m)), "left") == 1
+                      and stab(g, set(ElementSet(n, m)), "right") >= 2)
+        h = set(ElementSet(n, hm))
+        assert stab(g, h, "left") == 1 and stab(g, h, "right") >= 2
+        atom = ScanResult(True, 1, hm.bit_count(), (hm,), None, 1)
 
-    def sweep(self, ks, collect, rev=False):
-        yield full, {k: atom for k in ks}
+        def sweep(self, ks, collect, rev=False):
+            yield full, {k: atom for k in ks}
 
-    monkeypatch.setattr(GroupScan, "sweep", sweep)
-    monkeypatch.setitem(verify._THEOREMS, "small_sets",
-                        verify._THEOREMS["small_sets"]._replace(pairs=None))
-    tallies = verify._run_group(("dihedral:6", ("small_sets", "atom_coverage"), 0))
-    small, cover = tallies["small_sets"], tallies["atom_coverage"]
-    assert (small.tested, small.passing) == (1, 1)
-    assert {"group": g.name, "set": list(range(n)), "what": "symmetric stabilizer",
-            "observed": {"atom": list(ElementSet(n, hm))}} in cover.ces
-    # H is no subgroup, so the record carries the size of its normaliser
-    # {x : x H x^-1 = H}: two here, against one for the left stabilizer
-    h = set(ElementSet(n, hm))
-    norm = sum({g.table[g.table[x][y]][g.inv[x]] for y in h} == h for x in range(n))
-    assert {"group": g.name, "set": list(range(n)), "what": "semi-normal atom subgroup",
-            "observed": {"atom": list(ElementSet(n, hm)), "normalizer": norm}} in cover.ces
+        monkeypatch.setattr(GroupScan, "sweep", sweep)
+        monkeypatch.setitem(verify._THEOREMS, "small_sets",
+                            verify._THEOREMS["small_sets"]._replace(pairs=None))
+        tallies = verify._run_group((spec, ("small_sets", "atom_coverage"), 0))
+        small, cover = tallies["small_sets"], tallies["atom_coverage"]
+        assert (small.tested, small.passing) == (1, 1), spec
+        assert {"group": g.name, "set": list(range(n)), "what": "symmetric stabilizer",
+                "observed": {"atom": sorted(h)}} in cover.ces, spec
+        # H is no subgroup, so the record carries the size of its normaliser
+        # {x : x H x^-1 = H}: two in D6 and one in D7
+        norm = sum({g.table[g.table[x][y]][g.inv[x]] for y in h} == h for x in range(n))
+        assert norm == {"dihedral:6": 2, "dihedral:7": 1}[spec]
+        assert {"group": g.name, "set": list(range(n)), "what": "semi-normal atom subgroup",
+                "observed": {"atom": sorted(h), "normalizer": norm}} in cover.ces, spec
 
 
 def test_tally_turns_masks_into_ids_on_failure():
