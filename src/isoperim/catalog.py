@@ -10,8 +10,9 @@ Cayley rows are ``groups.elem_mul_mask``, ``hull`` and the table
 ``hulls`` of every <M> come from ``groups.closure_mask`` alone, the
 sweep's image tables are slices of ``right``, the ``nibbles`` that
 ``products`` reads four elements of A at a time are OR tables of
-``left``, and ``iso._Reducer``, under ``subset_scan`` too, reduces its
-blocks.
+``left``, and ``iso._Reducer`` reduces its blocks.  ``scan`` goes through
+``subset_scan``, whose chunks are reduced by |X| class instead, so the
+sweep and ``scan`` are two kernels that check each other.
 """
 
 from __future__ import annotations
@@ -217,9 +218,10 @@ class GroupScan:
         "none", "alpha" and "atoms".  The image of X under S is the OR of
         ``image_table(rev)[s]`` over s in S.  The low bits of S index a
         table of partial images built once; each block ORs in the image
-        of the high bits and ``iso._Reducer`` reduces every row (one S).
-        A block holds at most ``2**iso._CHUNK_BITS`` (S, X) entries, as a
-        ``subset_scan`` chunk does, which bounds memory.  The reverse sweep
+        of the high bits and ``iso._Reducer``, the sweep's own kernel,
+        reduces every row (one S) to one key per X.  A block holds at most
+        ``2**iso._CHUNK_BITS`` (S, X) entries, as a ``subset_scan`` chunk
+        does, which bounds memory.  The reverse sweep
         builds its own table from the inverses and never reads forward
         results, so comparing the two directions checks something.  Groups
         of order at most 16.

@@ -8,16 +8,22 @@ k-separable and kappa_k = |V| - 2k + 1 by convention, with every
 k-subset counting as a fragment and an atom.
 
 Everything here is exact.  ``subset_scan`` enumerates the powerset in
-one vectorized pass (numpy over 2^16-entry chunks, whose image, key,
-popcount and flag buffers, about 1 MB, fit in a 2 MB L2 cache) and, for
+one vectorized pass (numpy over 2^16-entry chunks, whose image and
+popcount buffers, about 320 KB, fit in a 2 MB L2 cache) and, for
 vertex-transitive graphs, can be pinned to subsets containing vertex 0,
 which loses nothing: translating a qualifying set by a graph automorphism
 preserves its boundary size.  ``or_table`` builds every image table, here
-and in the catalog sweeps, by doubling over the power set: the images of
-the low vertices once per scan, then one OR per chunk for the high ones.
-``_Reducer``, the one kernel under ``subset_scan`` and the catalog
-sweeps, reduces each row of images to one key per subset: the minimum
-gives kappa and alpha, and fragments and atoms come from the same keys.
+and in the catalog sweeps, by doubling over the power set.  A chunk of
+``subset_scan`` is laid out by |X| class: the outer OR of two tables of
+the images of the low vertices, each in popcount order, with the image
+of the high ones.  Split by s = |X|, kappa_k is the least min |XB| - s over the
+classes s >= k, and since |XB| <= |V| - k is the feasibility bound, a
+class is feasible exactly when its minimum is; so one popcount and one
+minimum per class give kappa and alpha, and fragments are counted and
+listed only in the classes of a chunk that can still tie.  ``_Reducer``,
+the kernel of the catalog sweeps, reduces each row of a block (one S) to
+one key per subset: the row minimum gives kappa and alpha, and fragments
+and atoms come from the same keys.
 
 Single-graph queries scan only what they return.  ``kappa`` (below the
 flow threshold), ``alpha``, ``atoms``, ``omega`` and ``classify`` read one
@@ -46,7 +52,11 @@ from .digraph import FWD, REV, Digraph, GraphError, image_mask, _k_subset_masks
 from .groups import FiniteGroup, GroupError, closure_mask, subgroup_as_group
 from .sets import ElementSet, bits_of, randrange_draws
 
-_CHUNK_BITS = 16  # 2^16 subsets per chunk: about 1 MB of buffers, L2-sized
+# 2^16 subsets per chunk: an image (uint32) and a popcount (uint8) buffer,
+# about 320 KB, L2-sized.  GroupScan.sweep's blocks hold as many (S, X)
+# pairs, in about 1 MB of image tables and key buffers, which 2^17 would
+# double.
+_CHUNK_BITS = 16
 _EXHAUSTIVE_CAP = 24
 _INEQUALITY_CAP = 20  # verify_isoperimetric_inequality holds 2^n arrays
 _FLOW_THRESHOLD = 20  # above this, kappa_1 goes through max-flow
@@ -84,12 +94,17 @@ def _small_columns(bits: int, t: int) -> tuple[int, ...]:
     return tuple(y for j in range(t) for y in _k_subset_masks(bits, j))
 
 
-class _Reducer:
-    """Reduces 2-D uint32 blocks of images XB to ``ScanResult`` fields.
+def _check_ks(n: int, ks: tuple[int, ...]) -> None:
+    if any(k < 1 or 2 * k - 1 > n for k in ks):
+        raise ValueError(f"kappa_k needs 1 <= k and 2k - 1 <= {n}, not ks={ks!r}")
 
-    Each row of a block is one scan; column y holds the image of X =
-    ``first | y``, or ``(first | y) << 1 | 1`` when ``pin`` keeps vertex 0
-    in X (``first`` is a multiple of the column count).  Each (row, k)
+
+class _Reducer:
+    """Reduces 2-D uint32 blocks of images XB to ``ScanResult`` fields:
+    the kernel of ``catalog.GroupScan.sweep``.
+
+    Each row of a block is one scan; column y holds the image of X = y,
+    or ``y << 1 | 1`` when ``pin`` keeps vertex 0 in X.  Each (row, k)
     minimises the key ``(|XB| - |X|) << w | (|X| - 1)``, uint8 with w = 4
     up to 16 vertices and uint16 with w = 5 above, or the maximum when X
     is infeasible (|X| < k, or fewer than k vertices outside XB).  The
@@ -99,13 +114,12 @@ class _Reducer:
 
     def __init__(self, shape: tuple[int, int], n: int, ks: tuple[int, ...],
                  collect: str, pin: bool):
-        if any(k < 1 or 2 * k - 1 > n for k in ks):
-            raise ValueError(f"kappa_k needs 1 <= k and 2k - 1 <= {n}, not ks={ks!r}")
+        _check_ks(n, ks)
         self.n, self.ks, self.collect, self.pin = n, ks, collect, pin
         self.bits = shape[1].bit_length() - 1
         self.w, dtype = (4, np.uint8) if n <= 16 else (5, np.uint16)
         self.top = np.iinfo(dtype).max
-        self.size = _pc_of_indices(self.bits) + pin  # |X| - |first|
+        self.size = _pc_of_indices(self.bits) + pin  # |X|
         # a row's fragment count is at most its column count
         self.count_dtype = np.uint16 if self.bits < 16 else np.uint32
         self.pc = np.empty(shape, dtype=np.uint8)
@@ -115,16 +129,16 @@ class _Reducer:
         self.kk = self.key if one else np.empty(shape, dtype=dtype)
         self.flag = self.pc.view(bool) if one else np.empty(shape, dtype=bool)
 
-    def _masks(self, m: np.ndarray, first: int) -> list[tuple[int, ...]]:
+    def _masks(self, m: np.ndarray) -> list[tuple[int, ...]]:
         """Per row, the flagged X, ascending; none where no X is feasible."""
         self.flag[m == 0] = False
         at = np.flatnonzero(self.flag)  # 2-D np.nonzero is many times slower
         per_row = np.bincount(at >> self.bits, minlength=len(m)).tolist()
         pin = self.pin
-        xs = iter(((at & ((1 << self.bits) - 1)) << pin | (first << pin | pin)).tolist())
+        xs = iter(((at & ((1 << self.bits) - 1)) << pin | pin).tolist())
         return [tuple(islice(xs, count)) for count in per_row]
 
-    def __call__(self, img: np.ndarray, first: int = 0) -> list[dict[int, ScanResult]]:
+    def __call__(self, img: np.ndarray) -> list[dict[int, ScanResult]]:
         """Per row of ``img``, the result of each k over the row's X."""
         pc, key, kk, flag = self.pc, self.key, self.kk, self.flag
         n, w, top, collect = self.n, self.w, self.top, self.collect
@@ -134,14 +148,11 @@ class _Reducer:
         np.subtract(self.size, pc, out=key, dtype=key.dtype)
         np.multiply(key, 1 << w, out=key)
         np.subtract(key, self.size, out=key)
-        if first:
-            np.add(key, first.bit_count() * low, out=key)
-        c = first.bit_count() + self.pin  # |X| = popcount(y) + c
         out: list[dict[int, ScanResult]] = [{} for _ in range(len(img))]
         for k in self.ks:
             np.less_equal(pc, n - k, out=flag)
-            if k > c:
-                flag[:, _small_columns(self.bits, k - c)] = False
+            if k > self.pin:
+                flag[:, _small_columns(self.bits, k - self.pin)] = False
             np.multiply(key, flag.view(np.uint8), out=kk)
             m = kk.max(axis=1)
             counts = atoms = frags = [None] * len(m)
@@ -151,10 +162,10 @@ class _Reducer:
                 counts = np.add.reduce(flag.view(np.uint8), axis=1,
                                        dtype=self.count_dtype).tolist()
             if collect == "all":
-                frags = self._masks(m, first)
+                frags = self._masks(m)
             if collect in ("atoms", "all"):
                 np.equal(kk, m[:, None], out=flag)
-                atoms = self._masks(m, first)
+                atoms = self._masks(m)
             nonsep = ScanResult(False, n - 2 * k + 1, None, None, None, None)
             for i, v in enumerate(m.tolist()):
                 v = top - v
@@ -164,17 +175,46 @@ class _Reducer:
         return out
 
 
-def _merge(a: ScanResult, b: ScanResult) -> ScanResult:
-    """One result over two disjoint ranges of X, with a's masks below b's."""
-    if not b.separable or a.separable and a.kappa < b.kappa:
-        return a
-    if not a.separable or b.kappa < a.kappa or a.alpha is None:
-        return b
-    alpha = min(a.alpha, b.alpha)
-    atoms = None if a.atom_masks is None else tuple(
-        m for r in (a, b) if r.alpha == alpha for m in r.atom_masks)
-    frags = None if a.frag_masks is None else a.frag_masks + b.frag_masks
-    return ScanResult(True, a.kappa, alpha, atoms, frags, a.frag_count + b.frag_count)
+@lru_cache(maxsize=None)
+def _classes(bits: int) -> tuple[np.ndarray, list[int]]:
+    """The y < 2^bits ordered by popcount, ascending within a popcount,
+    and the bounds of the popcount classes 0..bits in that order."""
+    pc = _pc_of_indices(bits)
+    order = np.argsort(pc, kind="stable")
+    return order, np.searchsorted(pc[order], np.arange(bits + 2)).tolist()
+
+
+class _Layout(NamedTuple):
+    """A chunk of 2^lo subsets y as a grid: row i holds the high lo - la
+    bits ``b_ord[i]`` of y, column j the low bits ``a_ord[j]``, and both
+    halves run in popcount order, so that a (row class, column class)
+    pair is a block and |y| is the sum of the two classes."""
+
+    la: int
+    a_ord: np.ndarray
+    a_bd: list[int]  # column class c spans a_bd[c]:a_bd[c + 1]
+    b_ord: np.ndarray
+    b_bd: list[int]
+    starts: np.ndarray  # flat start of each (row, column class) segment
+    diag: np.ndarray  # the segments grouped by |y| ...
+    diag_st: np.ndarray  # ... and where each group starts
+    ys: np.ndarray  # y in every cell (uint32); ascending along each block's rows
+
+
+@lru_cache(maxsize=None)
+def _layout(lo: int) -> _Layout:
+    # rows of at least 2^12 entries, and at most 16 of them, keep the outer
+    # OR as fast as a flat OR; 2^11 entries or 32 rows ran 2-3x slower
+    lb = min(4, max(0, lo - 12))
+    la = lo - lb
+    a_ord, a_bd = _classes(la)
+    b_ord, b_bd = _classes(lb)
+    starts = (np.arange(1 << lb)[:, None] << la) + np.array(a_bd[:-1])
+    size = (_pc_of_indices(lb)[b_ord][:, None] + np.arange(la + 1)).ravel()
+    diag = np.argsort(size, kind="stable")
+    return _Layout(la, a_ord, a_bd, b_ord, b_bd, starts.ravel(), diag,
+                   np.searchsorted(size[diag], np.arange(lo + 1)),
+                   (b_ord[:, None] << la | a_ord).astype(np.uint32))
 
 
 def subset_scan(
@@ -193,29 +233,100 @@ def subset_scan(
     count), "atoms" (plus atom masks), "all" (plus every fragment mask).
     A k outside 1 <= k, 2k - 1 <= n raises ``ValueError``.
 
-    One pass: the images of the low ``_CHUNK_BITS`` free vertices form
-    one table, each chunk ORs in one image of the high vertices, and
-    ``_Reducer`` reduces each chunk as a one-row block.  Chunks merge into
-    a running minimum, in ascending mask order.  Chunks of 2^16 subsets
-    keep every buffer of a chunk in a 2 MB L2 cache; chunks of 2^20 ran
-    1.5-2.5x slower at 20-24 vertices.
+    One pass over chunks of 2^``_CHUNK_BITS`` subsets, in ascending mask
+    order.  A chunk is a grid: the outer OR of two tables of the images
+    of its low free vertices, rows and columns each in popcount order,
+    with the image of its high ones, so that each |X| class is a few
+    rectangular blocks.  One popcount and ``minimum.reduceat`` over the
+    blocks give each class's least |XB|.  Since |XB| <=
+    n - k is the feasibility bound, a class is feasible exactly when its
+    minimum is, and the chunk's kappa_k is the least ``min |XB| - |X|``
+    over the feasible classes with |X| >= k.  A chunk whose kappa exceeds
+    the running one is dropped; otherwise fragments are counted only in
+    the blocks that can hold them, and masks listed only from the classes
+    that attain kappa (atoms from the least such class, when it does not
+    exceed the running alpha).
     """
     if collect not in ("none", "alpha", "atoms", "all"):
         raise ValueError(f"unknown collect level {collect!r}")
     if len(set(ks)) != len(ks):
         raise ValueError(f"repeated k in {ks!r}")
-    free = rows[1:n] if pin0 else rows[:n]
+    _check_ks(n, ks)
+    pin = int(pin0)
+    free = rows[1:n] if pin else rows[:n]
     lo = min(len(free), _CHUNK_BITS)
-    low = or_table(rows[0] if pin0 else 0, free[:lo])[None]
-    high = or_table(0, free[lo:])
-    img = low if len(high) == 1 else np.empty_like(low)
-    reduce = _Reducer(low.shape, n, ks, collect, pin0)
+    lay = _layout(lo)
+    la, a_bd, b_bd = lay.la, lay.a_bd, lay.b_bd
+    a = or_table(rows[0] if pin else 0, free[:la])[lay.a_ord]
+    b = or_table(0, free[la:lo])[lay.b_ord]
+    img = np.empty((len(b), len(a)), dtype=np.uint32)
+    pc = np.empty(img.shape, dtype=np.uint8)
+    runs: dict[int, list] = {}  # k -> [kappa, alpha, count, atom arrays, fragment arrays]
+
+    def blocks(j):
+        # the blocks of class j whose least |XB| is cm[j], flagging those X
+        for rc in range(max(0, j - la), min(lo - la, j) + 1):
+            if grid[rc][j - rc] == cm[j]:
+                at = slice(b_bd[rc], b_bd[rc + 1]), slice(a_bd[j - rc], a_bd[j - rc + 1])
+                yield at, pc[at] == cm[j]
+
+    def listed(j):
+        # the masks X of class j with |XB| = cm[j], ascending; each block
+        # lists its own in order, and a stable sort merges those runs
+        if j not in memo:
+            ys = np.concatenate([lay.ys[at][hit] for at, hit in blocks(j)])
+            memo[j] = (np.sort(ys, kind="stable") | h << lo) << pin | pin
+        return memo[j]
+
+    def tally(j):
+        # how many X of class j have |XB| = cm[j]
+        if j in memo:
+            return len(memo[j])
+        return sum(int(np.count_nonzero(hit)) for _, hit in blocks(j))
+
+    for h, hmask in enumerate(or_table(0, free[lo:]).tolist()):
+        np.bitwise_or(np.bitwise_or(b, hmask)[:, None], a, out=img)
+        np.bitwise_count(img, out=pc)
+        per_row = np.minimum.reduceat(pc.ravel(), lay.starts)
+        # class j holds the chunk's X with |y| = j, and cm[j] is its least |XB|
+        cm = np.minimum.reduceat(per_row[lay.diag], lay.diag_st).tolist()
+        grid, memo = None, {}
+        c = h.bit_count() + pin  # |X| = j + c
+        for k in ks:
+            feasible = [j for j in range(max(0, k - c), lo + 1) if cm[j] <= n - k]
+            if not feasible:
+                continue
+            kap, al = min((cm[j] - j - c, j) for j in feasible)
+            run = runs.get(k)
+            if run is None or kap < run[0]:
+                run = runs[k] = [kap, al + c, 0, [], []]
+            elif kap > run[0]:
+                continue
+            if collect == "none":
+                continue
+            if grid is None:
+                grid = np.minimum.reduceat(per_row.reshape(len(b), -1), b_bd[:-1],
+                                           axis=0).tolist()
+            if al + c < run[1]:
+                run[1], run[3] = al + c, []
+            if collect in ("atoms", "all") and al + c == run[1]:
+                run[3].append(listed(al))
+            attain = [j for j in feasible if cm[j] - j - c == kap]
+            if collect == "all":
+                run[4].append(np.sort(np.concatenate([listed(j) for j in attain]),
+                                      kind="stable"))
+            run[2] += sum(tally(j) for j in attain)
     out: dict[int, ScanResult] = {}
-    for h, hmask in enumerate(high):
-        if img is not low:
-            np.bitwise_or(low, hmask, out=img)
-        for k, res in reduce(img, h << lo)[0].items():
-            out[k] = _merge(out[k], res) if k in out else res
+    for k in ks:
+        if k not in runs:
+            out[k] = ScanResult(False, n - 2 * k + 1, None, None, None, None)
+            continue
+        kap, alpha, frag_count, atoms, frags = runs[k]
+        out[k] = ScanResult(
+            True, kap, None if collect == "none" else alpha,
+            tuple(np.concatenate(atoms).tolist()) if collect in ("atoms", "all") else None,
+            tuple(np.concatenate(frags).tolist()) if collect == "all" else None,
+            None if collect == "none" else frag_count)
     return out
 
 

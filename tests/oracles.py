@@ -12,7 +12,9 @@ functions of ``isoperim.groups`` (each checked against ``o_product`` and
 table, tallying into the checker's own ``_Tally``.  Each takes
 ``(group, GroupScan, rng, tally)`` and none reads the scan;
 ``o_coset_deficiency`` takes kappa_1 inside <S> from ``o_closure`` and
-``o_kappa``.
+``o_kappa``.  ``o_scan_flat`` uses numpy too, on graphs too large for
+plain sets: one pass over the whole power set in natural mask order,
+with none of ``subset_scan``'s chunks or popcount classes.
 """
 
 import itertools
@@ -94,6 +96,33 @@ def assert_scan_matches_oracle(res, oracle, collect, through=None):
     if collect == "all":
         assert as_sets(res.frag_masks) == set(frags)
         assert list(res.frag_masks) == sorted(res.frag_masks)
+
+
+def o_scan_flat(rows, n, k, pin0):
+    """``subset_scan``'s fields for one k at collect "all", as a tuple
+    (separable, kappa, alpha, atom masks, fragment masks, fragment
+    count), from one numpy pass over every X (every X through vertex 0
+    when ``pin0``) in natural mask order: image tables doubled one vertex
+    at a time, up to 2^21 entries."""
+    import numpy as np
+
+    free = rows[1:n] if pin0 else rows[:n]
+    img = np.array([rows[0] if pin0 else 0], dtype=np.uint32)
+    size = np.array([int(pin0)], dtype=np.int16)
+    for row in free:
+        img = np.concatenate([img, img | np.uint32(row)])
+        size = np.concatenate([size, size + 1])
+    image = np.bitwise_count(img).astype(np.int16)
+    feasible = (size >= k) & (image <= n - k)
+    if not feasible.any():
+        return False, n - 2 * k + 1, None, None, None, None
+    boundary = image - size
+    kap = int(boundary[feasible].min())
+    frag = np.flatnonzero(feasible & (boundary == kap))
+    alpha = int(size[frag].min())
+    masks = frag << int(pin0) | int(pin0)
+    atoms = masks[size[frag] == alpha]
+    return True, kap, alpha, tuple(atoms.tolist()), tuple(masks.tolist()), len(frag)
 
 
 def o_pinned_profile(g, k, sign):

@@ -35,7 +35,13 @@ from isoperim.iso import (
 from isoperim.menger import kappa1_flow
 from isoperim import iso as iso_mod
 
-from oracles import adj_sets, assert_scan_matches_oracle, o_kappa, o_pinned_profile
+from oracles import (
+    adj_sets,
+    assert_scan_matches_oracle,
+    o_kappa,
+    o_pinned_profile,
+    o_scan_flat,
+)
 
 
 def cay(spec, elems):
@@ -370,6 +376,66 @@ def test_chunk_size_matches_one_chunk_unpinned(monkeypatch):
     res = subset_scan(rg.rows, 20, (1, 2), collect="atoms")
     monkeypatch.setattr(iso_mod, "_CHUNK_BITS", 20)
     assert res == subset_scan(rg.rows, 20, (1, 2), collect="atoms")
+
+
+def _planted(rng, n, closed):
+    """A dense random digraph on n vertices in which each set of
+    ``closed`` is a complete digraph with no arc leaving it, and every
+    other vertex reaches every vertex: those sets and their unions are
+    the only X with an empty boundary."""
+    inside = {v for c in closed for v in c}
+    rest = [v for v in range(n) if v not in inside]
+    rows = [0] * n
+    for c in closed:
+        for v in c:
+            rows[v] = sum(1 << u for u in c)
+    for u in rest:
+        rows[u] = 1 << u | 1 << rest[(rest.index(u) + 1) % len(rest)]
+        rows[u] |= sum(1 << v for v in range(n) if rng.random() < 0.6)
+    for c in closed:
+        rows[rest[0]] |= 1 << min(c)
+    return Digraph(rows)
+
+
+def test_multi_chunk_scan_matches_flat_oracle():
+    # 17-22 vertices run 2 to 32 chunks at the default _CHUNK_BITS; every
+    # field at every level must match one flat pass over the power set
+    levels = ("none", "alpha", "atoms", "all")
+    rng = random.Random(27)
+    cases = [(random_reflexive_digraph(rng, n, p).rows, n, False)
+             for n, p in [(17, 0.08), (18, 0.25), (19, 0.45), (20, 0.7), (17, 0.9), (18, 0.97)]]
+    for spec, elems in [("dihedral:9", [0, 1, 10]), ("cyclic:19", [0, 1, 7, 11]),
+                        ("dihedral:10", [0, 3, 12, 17]), ("product:cyclic:3,cyclic:7", [0, 1, 5, 9]),
+                        ("product:cyclic:2,cyclic:11", [0, 1, 13, 20])]:
+        g, _ = cay(spec, elems)
+        cases.append((g.rows, g.n, True))
+    # the only atom lies in the last chunk; fragments tie on kappa_1 across
+    # chunks whose least fragments differ in size, the smaller one first
+    # or last
+    last = _planted(rng, 19, [(16, 17, 18)])
+    cases += [(last.rows, 19, False)]
+    cases += [(_planted(rng, 18, closed).rows, 18, False)
+              for closed in ([(0,), (16, 17)], [(0, 1), (17,)])]
+    nonsep = 0
+    for rows, n, pin0 in cases:
+        assert n - pin0 > iso_mod._CHUNK_BITS
+        for k in (1, 2, 3):
+            want = o_scan_flat(rows, n, k, pin0)
+            nonsep += not want[0]
+            for collect in levels:
+                got = subset_scan(rows, n, (k,), pin0=pin0, collect=collect)[k]
+                if want[0]:
+                    keep = {"none": 2, "alpha": 3, "atoms": 4, "all": 5}[collect]
+                    fields = want[:keep] + (None,) * (5 - keep)
+                    fields += (None if collect == "none" else want[5],)
+                else:
+                    fields = want
+                assert got == fields, (n, pin0, k, collect)
+    assert nonsep
+    res = subset_scan(last.rows, 19, (1, 2, 3), collect="atoms")
+    top = 0b111 << 16
+    assert all(res[k].atom_masks == (top,) for k in (1, 2, 3))
+    assert top >> iso_mod._CHUNK_BITS == (1 << 19 - iso_mod._CHUNK_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
