@@ -26,11 +26,14 @@ one key per subset: the row minimum gives kappa and alpha, and fragments
 and atoms come from the same keys.
 
 Single-graph queries scan only what they return.  ``kappa`` (below the
-flow threshold), ``alpha``, ``atoms``, ``omega`` and ``classify`` read one
-cached atoms-level record per (graph, k, sign), scanned at collect
-"atoms": no fragment is listed.  Above 16 vertices a vertex-transitive
-graph's record is scanned through vertex 0 and its few atoms expanded by
-the translations.  ``profile``, ``fragments`` and the ``check_*``
+flow threshold), ``alpha``, ``atoms``, ``omega`` and ``classify`` read
+cached atoms-level records, scanned at collect "atoms": no fragment is
+listed.  One scan serves the pair k = 2j - 1, 2j (each with 2k - 1 <= |V|)
+and is cached per (graph, pair, sign), since the queries ask for kappa_1
+and kappa_2 together and a scan for both costs little more than one for
+either.  Above 16 vertices a vertex-transitive graph's records are
+scanned through vertex 0 and their few atoms expanded by the
+translations.  ``profile``, ``fragments`` and the ``check_*``
 functions read the full profile, scanned at collect "all" and never
 pinned, since mapping every fragment by every translation costs far more
 than the half of the scan that pinning saves; it takes kappa, alpha, the
@@ -412,11 +415,13 @@ def _atom_record(g: Digraph, k: int, res: ScanResult, pinned: bool) -> _AtomReco
 
 
 @lru_cache(maxsize=128)
-def _atoms_impl(g: Digraph, k: int, sign: str) -> _AtomRecord:
-    # pinning halves the scan, and the few atoms expand cheaply
+def _atoms_impl(g: Digraph, j: int, sign: str) -> dict[int, _AtomRecord]:
+    # one scan for k = 2j - 1 and 2j; pinning halves it, and the few
+    # atoms expand cheaply
     pin = g.transitive and g.n > 16
-    res = subset_scan(g.rows_for(sign), g.n, (k,), pin0=pin, collect="atoms")[k]
-    return _atom_record(g, k, res, pin)
+    ks = tuple(k for k in (2 * j - 1, 2 * j) if 2 * k - 1 <= g.n)
+    res = subset_scan(g.rows_for(sign), g.n, ks, pin0=pin, collect="atoms")
+    return {k: _atom_record(g, k, res[k], pin) for k in ks}
 
 
 @lru_cache(maxsize=128)
@@ -456,7 +461,7 @@ def _require_exhaustive(g: Digraph, k: int) -> None:
 def _atoms_level(g: Digraph, k: int, sign: str) -> _AtomRecord:
     """The cached atoms-level record (enumerative; |V| capped at 24)."""
     _require_exhaustive(g, k)
-    return _atoms_impl(g, k, sign)
+    return _atoms_impl(g, (k + 1) // 2, sign)[k]
 
 
 def profile(g: Digraph, k: int, sign: str = FWD) -> IsoProfile:

@@ -1,15 +1,17 @@
 """Local vertex connectivity, openly disjoint paths, and boundary matchings.
 
 Connectivity between a non-adjacent pair is computed as unit-capacity
-max-flow after vertex splitting; the flow decomposes into openly
-disjoint paths and its residual cut yields the minimum k-part.  Every
-certificate returned here is re-verified by independent set arithmetic
-before it leaves the module.
+max-flow after vertex splitting, by one flow on the graph's bitmask rows
+(``_BitFlow``): the flow is kept as openly disjoint paths, each search
+layer is an OR of rows, and each pair starts from the paths through its
+common neighbours.  The paths are the flow's decomposition, and its
+residual side is the least minimum k-part.  Every certificate returned
+here is re-verified by independent set arithmetic before it leaves the
+module.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,129 +62,135 @@ class Matching:
 
 
 # ---------------------------------------------------------------------------
-# unit-capacity flow after vertex splitting
+# unit-capacity flow after vertex splitting, on bitmasks
 # ---------------------------------------------------------------------------
 
 
-class _SplitFlow:
-    """Max-flow network for vertex connectivity: v becomes 2v -> 2v+1.
+class _BitFlow:
+    """Max-flow from x to y in the vertex-split network, on bitmask rows.
 
-    Every vertex is split, x and y too: no augmenting path can use the
-    split edge into the source 2x+1 or out of the sink 2y, so flows,
-    paths and cuts are those of the network without them, and ``reset``
-    can move one network to another pair.
+    Vertex v becomes an in-node and an out-node joined by a unit arc, and
+    each arc u -> v of the graph becomes u_out -> v_in.  No capacity is
+    stored: a flow is a set of openly disjoint x-y paths, held as the
+    ``pred`` and ``succ`` of each vertex it passes through, and as the
+    mask ``used`` of those vertices (x and y are never in it).  The
+    residual moves are then
+      - u_out -> v_in for each v in ``rows[u]``; the loop at u makes the
+        reverse split move of a used u, from its out-node back to its
+        in-node (an unused u's out-node was reached from its in-node,
+        so there the loop adds nothing);
+      - v_in -> v_out for an unused v, and v_in -> pred[v]_out for a used v.
+    So a search is a layered BFS from x_out: each layer of in-nodes is
+    one OR of ``rows[u]`` over the out-node frontier, and the next
+    frontier follows from it in one step.  An out-node is reached only
+    from its own in-node (unused vertex) or from its succ's in-node (used
+    vertex), so a path is recovered through the in-nodes alone, each from
+    ``in_rows[v] & frontier``.
+
+    ``run`` starts each pair from its common neighbours w, the openly
+    disjoint paths x -> w -> y, at most ``limit`` of them.  After a run
+    that ends short of ``limit``, ``reach`` holds the in-nodes and
+    out-nodes reachable from x_out in the residual network.
     """
 
-    def __init__(self, g: Digraph, x: int, y: int):
-        n = g.n
-        self.g = g
-        self.adj: list[list[int]] = [[] for _ in range(2 * n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        big = n + 2
-        for v in range(n):
-            self._add(2 * v, 2 * v + 1, 1)
-        for u in range(n):
-            row = g.rows[u]
-            for v in bits_of(row):
-                if v != u:
-                    self._add(2 * u + 1, 2 * v, big)
-        self.orig = list(self.cap)
-        self.reset(x, y)
+    def __init__(self, g: Digraph):
+        self.rows = g.rows
+        self.in_rows = g.in_rows
 
-    def reset(self, x: int, y: int) -> None:
-        """Zero flow from x to y: the original capacities, new ends."""
-        self.cap[:] = self.orig
-        self.x = x
-        self.y = y
-        self.src = 2 * x + 1
-        self.snk = 2 * y
-        self.value = 0
+    def run(self, x: int, y: int, limit: int | None = None) -> int:
+        """The flow value from x to y, stopping once it reaches ``limit``."""
+        n = len(self.rows)
+        self.x, self.y = x, y
+        self.pred = [-1] * n
+        self.succ = [-1] * n
+        # x and y are not common neighbours: the pair is non-adjacent and
+        # the rows are reflexive
+        seed = self.rows[x] & self.in_rows[y]
+        while limit is not None and seed.bit_count() > limit:
+            seed ^= 1 << (seed.bit_length() - 1)
+        for w in bits_of(seed):
+            self.pred[w], self.succ[w] = x, y
+        self.used = seed
+        value = seed.bit_count()
+        while (limit is None or value < limit) and self._augment():
+            value += 1
+        return value
 
-    def _add(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    def _augment(self) -> bool:
+        rows, pred, used = self.rows, self.pred, self.used
+        ybit = 1 << self.y
+        seen_in, seen_out = 0, 1 << self.x
+        fronts = []
+        front = seen_out
+        while front:
+            fronts.append(front)
+            reach = 0
+            while front:
+                low = front & -front
+                reach |= rows[low.bit_length() - 1]
+                front ^= low
+            new = reach & ~seen_in
+            if new & ybit:
+                self._push(fronts)
+                return True
+            seen_in |= new
+            front = new & ~used
+            back = new & used
+            while back:
+                low = back & -back
+                front |= 1 << pred[low.bit_length() - 1]
+                back ^= low
+            front &= ~seen_out
+            seen_out |= front
+        self.reach = seen_in, seen_out
+        return False
 
-    def _augment_once(self) -> bool:
-        prev_edge = [-1] * len(self.adj)
-        prev_edge[self.src] = -2
-        q = deque([self.src])
-        while q:
-            u = q.popleft()
-            if u == self.snk:
+    def _push(self, fronts: list[int]) -> None:
+        """Augment along the path that reached y_in, read back from the
+        out-node frontiers of the search."""
+        in_rows, pred, succ, used = self.in_rows, self.pred, self.succ, self.used
+        x = self.x
+        added, dropped = [], []
+        flip = 0  # vertices whose split arc gains or loses its unit
+        v = self.y
+        for front in reversed(fronts):
+            low = in_rows[v] & front
+            u = (low & -low).bit_length() - 1
+            if u == v:
+                flip |= 1 << v  # the reverse split move of a used v
+            else:
+                added.append((u, v))
+            if u == x:
                 break
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and prev_edge[v] == -1:
-                    prev_edge[v] = e
-                    q.append(v)
-        if prev_edge[self.snk] == -1:
-            return False
-        v = self.snk
-        while v != self.src:
-            e = prev_edge[v]
-            self.cap[e] -= 1
-            self.cap[e ^ 1] += 1
-            v = self.to[e ^ 1]
-        self.value += 1
-        return True
-
-    def run(self, limit: int | None = None) -> int:
-        while (limit is None or self.value < limit) and self._augment_once():
-            pass
-        return self.value
-
-    def residual_reachable(self) -> set[int]:
-        seen = {self.src}
-        q = deque([self.src])
-        while q:
-            u = q.popleft()
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
+            if (used >> u) & 1:
+                v = succ[u]
+                dropped.append((u, v))
+            else:
+                flip |= 1 << u
+                v = u
+        for u, w in dropped:
+            succ[u] = pred[w] = -1
+        for u, w in added:
+            succ[u], pred[w] = w, u  # x's succ and y's pred are never read
+        self.used ^= flip
 
     def source_side(self) -> tuple[int, int]:
-        """(A, C) masks: cut side A with x, and the cut vertices C."""
-        reach = self.residual_reachable()
-        a = 1 << self.x
-        c = 0
-        for v in range(self.g.n):
-            if v == self.x or v == self.y:
-                continue
-            if 2 * v + 1 in reach:
-                a |= 1 << v
-            elif 2 * v in reach:
-                c |= 1 << v
-        return a, c
+        """(A, C) masks after a maximum flow: the side A of x in the
+        residual network, and the cut C of vertices whose in-node alone
+        is in it."""
+        seen_in, seen_out = self.reach
+        return seen_out, seen_in & ~seen_out
 
     def decompose(self) -> list[list[int]]:
-        flow = [self.orig[e] - self.cap[e] for e in range(len(self.cap))]
+        """The flow's paths, each followed from x along ``succ``."""
+        x, y, succ = self.x, self.y, self.succ
         paths = []
-        for _ in range(self.value):
-            path = [self.x]
-            u = self.src
-            while u != self.snk:
-                for e in self.adj[u]:
-                    if e % 2 == 0 and flow[e] > 0:
-                        flow[e] -= 1
-                        u = self.to[e]
-                        break
-                else:
-                    raise RuntimeError("flow decomposition lost a unit")
-                if u % 2 == 0:
-                    path.append(u // 2)
-                    if u != self.snk:
-                        e_split = self.adj[u][0]
-                        flow[e_split] -= 1
-                        u = self.to[e_split]
-            paths.append(path)
+        for w, p in enumerate(self.pred):
+            if p == x:
+                path = [x, w]
+                while path[-1] != y and len(path) <= len(succ):
+                    path.append(succ[path[-1]])
+                paths.append(path)
         return paths
 
 
@@ -200,14 +208,14 @@ def local_connectivity(g: Digraph, x: int, y: int) -> int:
     """Largest k such that every A with x in A, y outside Gamma(A) has
     |boundary(A)| >= k.  Exact, via vertex-split max-flow."""
     _check_pair(g, x, y)
-    return _SplitFlow(g, x, y).run()
+    return _BitFlow(g).run(x, y)
 
 
 def min_k_part(g: Digraph, x: int, y: int) -> KPart:
     """The source side of a minimum vertex cut between x and y."""
     _check_pair(g, x, y)
-    net = _SplitFlow(g, x, y)
-    value = net.run()
+    net = _BitFlow(g)
+    value = net.run(x, y)
     a, c = net.source_side()
     img = image_mask(g.rows, a)
     bnd = img & ~a
@@ -251,8 +259,8 @@ def disjoint_paths(g: Digraph, x: int, y: int, k: int) -> PathFamily:
         raise GraphError("k must be >= 0")
     if k == 0:
         return PathFamily(source=x, target=y, paths=())
-    net = _SplitFlow(g, x, y)
-    lam = net.run(limit=k)
+    net = _BitFlow(g)
+    lam = net.run(x, y, limit=k)
     if lam < k:
         # the flow stopped short of k with no augmenting path: it is maximum
         a, c = net.source_side()
@@ -311,13 +319,14 @@ def kappa1_flow(g: Digraph) -> int:
     the other side at local connectivity |C|; so once i >= best, either
     best = |C| or those |C| + 1 sources have run and found it.
     Non-1-separable graphs get |V| - 1 by the usual convention.  One
-    flow network serves every pair, reset between them, and each pair's
-    flow stops once it reaches the least value so far, since a larger
-    one cannot lower the minimum.
+    flow object serves every pair, and each pair's flow starts from its
+    common neighbours and stops once it reaches the least value so far,
+    since a larger one cannot lower the minimum; a pair with at least
+    that many common neighbours is skipped without a search.
     """
     if not g.reflexive:
         raise GraphError("kappa via flow needs a reflexive graph")
-    n, rows = g.n, g.rows
+    n, rows, in_rows = g.n, g.rows, g.in_rows
     best = n - 1
 
     def pairs():
@@ -331,15 +340,11 @@ def kappa1_flow(g: Digraph) -> int:
                 yield x, w
                 yield w, x
 
-    net = None
+    net = _BitFlow(g)
     for x, y in pairs():
-        if (rows[x] >> y) & 1:
+        if (rows[x] >> y) & 1 or (rows[x] & in_rows[y]).bit_count() >= best:
             continue
-        if net is None:
-            net = _SplitFlow(g, x, y)
-        else:
-            net.reset(x, y)
-        best = net.run(limit=best)
+        best = net.run(x, y, limit=best)
         if best == 0:
             break
     return best

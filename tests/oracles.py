@@ -185,6 +185,21 @@ def o_local_connectivity(adj, n, x, y):
     return best
 
 
+def o_min_k_part(adj, n, x, y):
+    """(lambda, least minimum k-part): the intersection of every A with x
+    in A, y outside Gamma(A) and |boundary(A)| = lambda, the least such
+    boundary."""
+    parts = {}
+    others = [v for v in range(n) if v not in (x, y)]
+    for r in range(len(others) + 1):
+        for extra in itertools.combinations(others, r):
+            a = {x, *extra}
+            if y not in o_image(adj, a):
+                parts.setdefault(len(o_boundary(adj, a)), []).append(a)
+    lam = min(parts)
+    return lam, set.intersection(*parts[lam])
+
+
 def o_is_matching(g, x_set, pairs, k):
     xs = set(x_set)
     if len(pairs) != k:

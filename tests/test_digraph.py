@@ -120,6 +120,9 @@ def test_profile_cache_keeps_metadata_apart():
     _atoms_impl.cache_clear()
     assert omega(g18, 1) == omega(bare, 1)
     assert _atoms_impl.cache_info().currsize == 2
+    # k = 1 and 2 share one scan, so the pair adds no entry
+    assert omega(g18, 2) == omega(bare, 2)
+    assert _atoms_impl.cache_info().currsize == 2
     # graphs with the same rows and translations are equal, however built
     g, z6 = cay("cyclic:6", [0, 1])
     assert g == Digraph(g.rows, translations=z6.table) == cayley_graph(z6, z6.subset([0, 1]))

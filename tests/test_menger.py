@@ -18,11 +18,13 @@ from isoperim import (
     strong_iso_matching,
 )
 from isoperim.catalog import build, entries
-from isoperim.digraph import Digraph, boundary, co_complement, image, random_reflexive_digraph
+from isoperim.digraph import (
+    Digraph, boundary, co_complement, image, random_reflexive_digraph, reverse,
+)
 from isoperim.iso import subset_scan
 from isoperim.menger import PathFamily, fan, verify_path_family
 
-from oracles import adj_sets, o_is_matching, o_local_connectivity
+from oracles import adj_sets, o_is_matching, o_local_connectivity, o_min_k_part
 
 
 def cay(spec, elems):
@@ -109,6 +111,46 @@ def test_path_family_verifier_rejects_tampering():
     assert not verify_path_family(g, bad2, 2)
 
 
+def test_augmenting_path_backs_up_through_a_used_vertex():
+    # the shortest path 0-1-2-3-8 comes first; the second augmenting path
+    # 0-4-5-3, back along 3 -> 2, across vertex 2 from its out-node to its
+    # in-node, back along 2 -> 1, then on through 6-7-8, frees vertex 2
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 8), (0, 4), (4, 5), (5, 3), (1, 6),
+            (6, 7), (7, 8)]
+    rows = [1 << v for v in range(9)]
+    for u, v in arcs:
+        rows[u] |= 1 << v
+    g = Digraph(rows)
+    assert local_connectivity(g, 0, 8) == 2
+    fam = disjoint_paths(g, 0, 8, 2)
+    assert verify_path_family(g, fam, 2)
+    assert set(fam.paths) == {(0, 1, 6, 7, 8), (0, 4, 5, 3, 8)}
+
+
+def test_disjoint_paths_below_common_neighbours():
+    # x = 0 reaches y = 6 through each of 1..5 and nothing else: the
+    # five common neighbours seed the flow, and any k of them are exactly
+    # k paths
+    rows = [0b0111111] + [1 << v | 1 << 6 for v in range(1, 6)] + [1 << 6]
+    g = Digraph(rows)
+    for k in range(6):
+        fam = disjoint_paths(g, 0, 6, k)
+        assert len(fam.paths) == k and verify_path_family(g, fam, k)
+    with pytest.raises(ConnectivityError):
+        disjoint_paths(g, 0, 6, 6)
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_reflexive_digraph(rng, rng.randint(6, 12), rng.choice([0.45, 0.6]))
+        for x in range(g.n):
+            for y in range(g.n):
+                if g.has_arc(x, y):
+                    continue
+                common = (g.rows[x] & g.in_rows[y]).bit_count()
+                for k in range(1, common):
+                    fam = disjoint_paths(g, x, y, k)
+                    assert len(fam.paths) == k and verify_path_family(g, fam, k)
+
+
 def test_disjoint_paths_exhaustive_counts():
     rng = random.Random(123)
     for _ in range(40):
@@ -149,9 +191,23 @@ def test_min_k_part_duality_holds():
                 assert x in a and y not in image(g, a)
                 assert len(boundary(g, a)) == part.boundary_size
                 wedge = co_complement(g, a)
-                from isoperim.digraph import reverse
-
                 assert boundary(reverse(g), wedge) == boundary(g, a)
+
+
+def test_min_k_part_is_least_minimum_part():
+    # the residual side of a maximum flow is the intersection of every
+    # minimum part, however the flow was found
+    rng = random.Random(17)
+    for _ in range(150):
+        g = random_reflexive_digraph(rng, rng.randint(2, 8), rng.choice([None, 0.2, 0.45]))
+        adj = adj_sets(g)
+        for x in range(g.n):
+            for y in range(g.n):
+                if g.has_arc(x, y):
+                    continue
+                lam, least = o_min_k_part(adj, g.n, x, y)
+                part = min_k_part(g, x, y)
+                assert (part.boundary_size, set(part.set)) == (lam, least), (g.rows, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +360,25 @@ def test_kappa1_flow_transitive_and_general():
     assert kappa1_flow(ring) == 1 == subset_scan(ring.rows, 6, (1,), collect="none")[1].kappa
 
 
+def test_kappa1_flow_matches_scan_on_larger_graphs():
+    # the common-neighbour seeds and the skip rule, on graphs where most
+    # pairs have many common neighbours, against the exhaustive kappa_1
+    # of each graph and of its reverse
+    rng = random.Random(63)
+    graphs = [random_reflexive_digraph(rng, n, p) for n in (12, 14, 16, 18, 20)
+              for p in (0.2, 0.45, 0.45, 0.7)]
+    for spec, n in (("cyclic:17", 17), ("dihedral:9", 18), ("cyclic:19", 19),
+                    ("dihedral:10", 20), ("product:cyclic:3,cyclic:7", 21),
+                    ("product:cyclic:2,cyclic:11", 22), ("cyclic:23", 23),
+                    ("symmetric:4", 24)):
+        for size in (3, 5, 7):
+            graphs.append(cay(spec, [0] + rng.sample(range(1, n), size - 1))[0])
+    for g in graphs:
+        for rows, h in ((g.rows, g), (g.in_rows, reverse(g))):
+            scan = subset_scan(rows, g.n, (1,), pin0=g.transitive, collect="none")[1]
+            assert kappa1_flow(h) == scan.kappa, (rows, g.transitive)
+
+
 def _even_teeth(kap, directed):
     """A graph with kappa_1 = kap whose only minimum separator is
     C = {0, ..., kap-1}: each source in C sees only pairs of connectivity
@@ -350,14 +425,14 @@ def test_kappa1_flow_runs_once_per_graph(monkeypatch):
     g, z21 = cay("product:cyclic:3,cyclic:7", [0, 1, 5, 9])
     assert g.n == 21 and g.transitive
     built = []
-    init = menger._SplitFlow.__init__
+    init = menger._BitFlow.__init__
 
     def counted(net, *args):
         built.append(args)
         init(net, *args)
 
     kappa1_flow.cache_clear()
-    monkeypatch.setattr(menger._SplitFlow, "__init__", counted)
+    monkeypatch.setattr(menger._BitFlow, "__init__", counted)
     k1 = kappa(g, 1)
     assert kappa1_flow(g) == k1 == classify(z21, z21.subset([0, 1, 5, 9])).kappa1
     m = strong_iso_matching(g, z21.subset(range(7)), k1)
