@@ -10,9 +10,10 @@ Cayley rows are ``groups.elem_mul_mask``, ``hull`` and the table
 ``hulls`` of every <M> come from ``groups.closure_mask`` alone, the
 sweep's image tables are slices of ``right``, the ``nibbles`` that
 ``products`` reads four elements of A at a time are OR tables of
-``left``, and ``iso._Reducer`` reduces its blocks.  ``scan`` goes through
-``subset_scan``, whose chunks are reduced by |X| class instead, so the
-sweep and ``scan`` are two kernels that check each other.
+``left``, and ``iso._Reducer`` reduces its blocks, every subset of every
+S.  ``scan`` goes through ``subset_scan``, which reads only the subsets
+that pass its closure filter and reduces its chunks by |X| class
+instead, so the sweep and ``scan`` are two kernels that check each other.
 """
 
 from __future__ import annotations

@@ -7,22 +7,31 @@ minimizers are k-atoms.  When no X qualifies the graph is non
 k-separable and kappa_k = |V| - 2k + 1 by convention, with every
 k-subset counting as a fragment and an atom.
 
-Everything here is exact.  ``subset_scan`` enumerates the powerset in
-one vectorized pass (numpy over 2^16-entry chunks, whose image and
-popcount buffers, about 320 KB, fit in a 2 MB L2 cache) and, for
-vertex-transitive graphs, can be pinned to subsets containing vertex 0,
-which loses nothing: translating a qualifying set by a graph automorphism
-preserves its boundary size.  ``or_table`` builds every image table, here
-and in the catalog sweeps, by doubling over the power set.  A chunk of
-``subset_scan`` is laid out by |X| class: the outer OR of two tables of
-the images of the low vertices, each in popcount order, with the image
-of the high ones.  Split by s = |X|, kappa_k is the least min |XB| - s over the
-classes s >= k, and since |XB| <= |V| - k is the feasibility bound, a
-class is feasible exactly when its minimum is; so one popcount and one
-minimum per class give kappa and alpha, and fragments are counted and
-listed only in the classes of a chunk that can still tie.  ``_Reducer``,
-the kernel of the catalog sweeps, reduces each row of a block (one S) to
-one key per subset: the row minimum gives kappa and alpha, and fragments
+Everything here is exact.  ``subset_scan`` rests on the closure lemma:
+every k-fragment X is closed, X = V \\ (V \\ XB)B^-1, that is no vertex v
+outside X has vB inside XB; otherwise X u {v} would be feasible with the
+same image and a boundary one smaller.  So the scan reads only sets that
+pass a closure filter built once per call.  The free vertices split into
+two halves, and a set y of one half is kept unless some vertex of that
+half outside y has its row inside y's image; a closed X has a kept set on
+either side.  ``or_table`` builds every image table, here and in the
+catalog sweeps, by doubling over the power set; one vectorized test
+against a cached set-by-vertex matrix filters each half's table.  A chunk
+is the outer OR of as many kept sets of the high half as fit in 2^16
+cells against every kept set of the low half (image and popcount buffers
+of about 320 KB, within a 2 MB L2 cache), both in popcount order, so that
+a (row class, column class) block is a rectangle and |X| is the sum of
+the two classes.  Split by s = |X|, kappa_k is the least min |XB| - s
+over the classes s >= k, and since |XB| <= |V| - k is the feasibility
+bound, a class is feasible exactly when its minimum is; so one popcount
+and two ``minimum.reduceat`` per chunk give kappa and alpha, and
+fragments are counted and listed only in the blocks of a chunk that can
+still tie.  For vertex-transitive graphs the scan can be pinned to
+subsets containing vertex 0, which loses nothing: translating a
+qualifying set by a graph automorphism preserves its boundary size.
+``_Reducer``, the kernel of the catalog sweeps (``GroupScan.sweep``),
+still reads every subset: it reduces each row of a block (one S) to one
+key per subset, whose row minimum gives kappa and alpha, and fragments
 and atoms come from the same keys.
 
 Single-graph queries scan only what they return.  ``kappa`` (below the
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -55,10 +65,11 @@ from .digraph import FWD, REV, Digraph, GraphError, image_mask, _k_subset_masks
 from .groups import FiniteGroup, GroupError, closure_mask, subgroup_as_group
 from .sets import ElementSet, bits_of, randrange_draws
 
-# 2^16 subsets per chunk: an image (uint32) and a popcount (uint8) buffer,
-# about 320 KB, L2-sized.  GroupScan.sweep's blocks hold as many (S, X)
-# pairs, in about 1 MB of image tables and key buffers, which 2^17 would
-# double.
+# at most 2^16 subsets per chunk (as many kept sets of the high half as fit
+# against all of the low half's): an image (uint32) and a popcount
+# (uint8) buffer, about 320 KB, L2-sized.  GroupScan.sweep's blocks hold as
+# many (S, X) pairs, in about 1 MB of image tables and key buffers, which
+# 2^17 would double.
 _CHUNK_BITS = 16
 _EXHAUSTIVE_CAP = 24
 _INEQUALITY_CAP = 20  # verify_isoperimetric_inequality holds 2^n arrays
@@ -187,37 +198,56 @@ def _classes(bits: int) -> tuple[np.ndarray, list[int]]:
     return order, np.searchsorted(pc[order], np.arange(bits + 2)).tolist()
 
 
-class _Layout(NamedTuple):
-    """A chunk of 2^lo subsets y as a grid: row i holds the high lo - la
-    bits ``b_ord[i]`` of y, column j the low bits ``a_ord[j]``, and both
-    halves run in popcount order, so that a (row class, column class)
-    pair is a block and |y| is the sum of the two classes."""
+class _Half(NamedTuple):
+    """The sets y of one half of the free vertices that pass the closure
+    filter, in popcount order."""
 
-    la: int
-    a_ord: np.ndarray
-    a_bd: list[int]  # column class c spans a_bd[c]:a_bd[c + 1]
-    b_ord: np.ndarray
-    b_bd: list[int]
-    starts: np.ndarray  # flat start of each (row, column class) segment
-    diag: np.ndarray  # the segments grouped by |y| ...
-    diag_st: np.ndarray  # ... and where each group starts
-    ys: np.ndarray  # y in every cell (uint32); ascending along each block's rows
+    img: np.ndarray  # the image of each y (uint32), ``rows[0]`` included when pinned
+    xs: np.ndarray  # y as a vertex mask (uint32), vertex 0 included when pinned
+    starts: list[int]  # where each nonempty popcount class begins ...
+    sizes: list[int]  # ... and the |X| it adds
 
 
 @lru_cache(maxsize=None)
-def _layout(lo: int) -> _Layout:
-    # rows of at least 2^12 entries, and at most 16 of them, keep the outer
-    # OR as fast as a flat OR; 2^11 entries or 32 rows ran 2-3x slower
-    lb = min(4, max(0, lo - 12))
-    la = lo - lb
-    a_ord, a_bd = _classes(la)
-    b_ord, b_bd = _classes(lb)
-    starts = (np.arange(1 << lb)[:, None] << la) + np.array(a_bd[:-1])
-    size = (_pc_of_indices(lb)[b_ord][:, None] + np.arange(la + 1)).ravel()
-    diag = np.argsort(size, kind="stable")
-    return _Layout(la, a_ord, a_bd, b_ord, b_bd, starts.ravel(), diag,
-                   np.searchsorted(size[diag], np.arange(lo + 1)),
-                   (b_ord[:, None] << la | a_ord).astype(np.uint32))
+def _half_layout(bits: int, shift: int,
+                 pin: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """For the sets y of ``bits`` vertices in ``_classes(bits)`` order:
+    the class bounds and that order, the y-by-bit matrix ``outside[j, y]``
+    (bit j of y clear), and the vertex masks ``y << shift | pin``."""
+    order, bounds = _classes(bits)
+    # uint16, not int64, keeps the temporaries small at 12 bits
+    bit = np.left_shift(1, np.arange(bits, dtype=np.uint16))[:, None]
+    outside = (order.astype(np.uint16) & bit) == 0
+    return bounds, order, outside, (order << shift | pin).astype(np.uint32)
+
+
+def _closed_half(base: int, gens: Sequence[int], shift: int, pin: int) -> _Half:
+    """The sets y of the vertices whose rows are ``gens`` (bit j of y is
+    vertex j + ``shift``) that no vertex outside y can join for free: y is
+    dropped when some j outside y has ``gens[j]`` inside y's image,
+    ``base`` OR the rows of y.  ``pin`` is 1 when vertex 0, below
+    ``shift``, belongs to every y."""
+    bounds, order, outside, xs = _half_layout(len(gens), shift, pin)
+    img = or_table(base, gens)[order]
+    g = np.array(gens, dtype=np.uint32)[:, None]
+    joins = ((g | img) == img) & outside
+    kept = np.flatnonzero(~joins.any(axis=0))
+    bd = np.searchsorted(kept, bounds).tolist()
+    cs = [c for c in range(len(gens) + 1) if bd[c] < bd[c + 1]]
+    return _Half(img[kept], xs[kept], [bd[c] for c in cs], [c + pin for c in cs])
+
+
+def _closed_halves(rows: Sequence[int], n: int, pin: int) -> tuple[_Half, _Half]:
+    """The kept sets of the low half (the first ceil(m/2) of the m free
+    vertices) and of the high half.  A set is kept when no vertex of its
+    half outside it has its row inside its image, taken with ``rows[0]``
+    when pinned; every closed X meets each half in a kept set, though not
+    every pair of kept sets is closed."""
+    free = rows[1:n] if pin else rows[:n]
+    la = (len(free) + 1) // 2
+    base = rows[0] if pin else 0
+    return (_closed_half(base, free[:la], pin, pin),
+            _closed_half(base, free[la:], la + pin, 0))
 
 
 def subset_scan(
@@ -228,97 +258,123 @@ def subset_scan(
     pin0: bool = False,
     collect: str = "all",
 ) -> dict[int, ScanResult]:
-    """Scan every subset X (optionally only X containing vertex 0).
+    """Scan every subset X (optionally only X containing vertex 0) that
+    can be a fragment.
 
     ``rows`` must be reflexive adjacency masks.  Returns per requested
     (distinct) k the exact connectivity data at the ``collect`` level: "none" (kappa
     and separability), "alpha" (plus atom cardinality and fragment
-    count), "atoms" (plus atom masks), "all" (plus every fragment mask).
-    A k outside 1 <= k, 2k - 1 <= n raises ``ValueError``.
+    count), "atoms" (plus atom masks), "all" (plus every fragment mask),
+    masks ascending.  A k outside 1 <= k, 2k - 1 <= n raises ``ValueError``.
 
-    One pass over chunks of 2^``_CHUNK_BITS`` subsets, in ascending mask
-    order.  A chunk is a grid: the outer OR of two tables of the images
-    of its low free vertices, rows and columns each in popcount order,
-    with the image of its high ones, so that each |X| class is a few
-    rectangular blocks.  One popcount and ``minimum.reduceat`` over the
-    blocks give each class's least |XB|.  Since |XB| <=
-    n - k is the feasibility bound, a class is feasible exactly when its
+    Every fragment X is closed: no v outside X has vB inside XB, since
+    X u {v} would be feasible with the same image and a boundary one
+    smaller.  The same holds for the minimisers through vertex 0 of a
+    pinned scan, and a feasible X that is not closed grows into a closed
+    one, so the closed X give the same kappa, alpha and fragments as all
+    X.  The m free vertices split into a low half (the first ceil(m/2))
+    and a high half.  A closed X meets each half in a set y that no
+    vertex of that half outside y can join for free, its row inside the
+    image of y (with ``rows[0]`` when pinned); ``_closed_halves`` keeps
+    those y, in popcount order, and the scan reads only their pairs.
+
+    The kept sets of the high half are the rows, those of the low half
+    the columns.  A chunk is as many rows, of any class, as fit in
+    2^``_CHUNK_BITS`` cells against every column: one outer OR, one
+    popcount, and a ``minimum.reduceat`` along the columns and one along
+    the rows give the least |XB| of each (row class, column class)
+    block, whose anti-diagonals are the |X| classes.  Since |XB| <= n - k
+    is the feasibility bound, a class is feasible exactly when its
     minimum is, and the chunk's kappa_k is the least ``min |XB| - |X|``
     over the feasible classes with |X| >= k.  A chunk whose kappa exceeds
     the running one is dropped; otherwise fragments are counted only in
-    the blocks that can hold them, and masks listed only from the classes
-    that attain kappa (atoms from the least such class, when it does not
-    exceed the running alpha).
+    the blocks that hold their class minimum, and masks listed only from
+    the classes that attain kappa (atoms from the least such class, when
+    it does not exceed the running alpha).  The masks are sorted at the
+    end.  ``catalog.GroupScan.sweep`` has no such filter: its
+    ``_Reducer`` reads every subset.
     """
     if collect not in ("none", "alpha", "atoms", "all"):
         raise ValueError(f"unknown collect level {collect!r}")
     if len(set(ks)) != len(ks):
         raise ValueError(f"repeated k in {ks!r}")
     _check_ks(n, ks)
-    pin = int(pin0)
-    free = rows[1:n] if pin else rows[:n]
-    lo = min(len(free), _CHUNK_BITS)
-    lay = _layout(lo)
-    la, a_bd, b_bd = lay.la, lay.a_bd, lay.b_bd
-    a = or_table(rows[0] if pin else 0, free[:la])[lay.a_ord]
-    b = or_table(0, free[la:lo])[lay.b_ord]
-    img = np.empty((len(b), len(a)), dtype=np.uint32)
+    # a column per kept set of the low half, a row per kept set of the high
+    ch, rh = _closed_halves(rows, n, int(pin0))
+    width, height = len(ch.xs), len(rh.xs)
+    per = max(1, (1 << _CHUNK_BITS) // width)  # rows per chunk
+    img = np.empty((min(per, height), width), dtype=np.uint32)
     pc = np.empty(img.shape, dtype=np.uint8)
+    col = {size: c for c, size in enumerate(ch.sizes)}  # the column class of each size
+    col_bd = ch.starts + [width]
+    row_bd = rh.starts + [height]
+    diag = np.add.outer(rh.sizes, ch.sizes)  # |X| of each block
     runs: dict[int, list] = {}  # k -> [kappa, alpha, count, atom arrays, fragment arrays]
 
-    def blocks(j):
-        # the blocks of class j whose least |XB| is cm[j], flagging those X
-        for rc in range(max(0, j - la), min(lo - la, j) + 1):
-            if grid[rc][j - rc] == cm[j]:
-                at = slice(b_bd[rc], b_bd[rc + 1]), slice(a_bd[j - rc], a_bd[j - rc + 1])
-                yield at, pc[at] == cm[j]
+    def found(s):
+        # the blocks of class s whose least |XB| is cm[s], with those X flagged
+        if s not in hits:
+            hits[s] = []
+            for i in range(i0, i1):
+                c = col.get(s - rh.sizes[i])
+                if c is not None and grid[i - i0][c] == cm[s]:
+                    at = (slice(max(row_bd[i], r0) - r0, min(row_bd[i + 1], r1) - r0),
+                          slice(col_bd[c], col_bd[c + 1]))
+                    hits[s].append((at, pc[at] == cm[s]))
+        return hits[s]
 
-    def listed(j):
-        # the masks X of class j with |XB| = cm[j], ascending; each block
-        # lists its own in order, and a stable sort merges those runs
-        if j not in memo:
-            ys = np.concatenate([lay.ys[at][hit] for at, hit in blocks(j)])
-            memo[j] = (np.sort(ys, kind="stable") | h << lo) << pin | pin
-        return memo[j]
+    def listed(s):
+        # the masks X of class s with |XB| = cm[s]
+        if s not in lists:
+            lists[s] = np.concatenate([(row_xs[rs, None] | ch.xs[cs])[hit]
+                                       for (rs, cs), hit in found(s)])
+        return lists[s]
 
-    def tally(j):
-        # how many X of class j have |XB| = cm[j]
-        if j in memo:
-            return len(memo[j])
-        return sum(int(np.count_nonzero(hit)) for _, hit in blocks(j))
+    def tally(s):
+        # how many X of class s have |XB| = cm[s]
+        if s not in counts:
+            counts[s] = sum(int(np.count_nonzero(hit)) for _, hit in found(s))
+        return counts[s]
 
-    for h, hmask in enumerate(or_table(0, free[lo:]).tolist()):
-        np.bitwise_or(np.bitwise_or(b, hmask)[:, None], a, out=img)
-        np.bitwise_count(img, out=pc)
-        per_row = np.minimum.reduceat(pc.ravel(), lay.starts)
-        # class j holds the chunk's X with |y| = j, and cm[j] is its least |XB|
-        cm = np.minimum.reduceat(per_row[lay.diag], lay.diag_st).tolist()
-        grid, memo = None, {}
-        c = h.bit_count() + pin  # |X| = j + c
+    for r0 in range(0, height, per):
+        r1 = min(r0 + per, height)
+        i0 = bisect_right(rh.starts, r0) - 1
+        i1 = bisect_left(rh.starts, r1)
+        row_xs = rh.xs[r0:r1]
+        np.bitwise_or(rh.img[r0:r1, None], ch.img, out=img[:r1 - r0])
+        np.bitwise_count(img[:r1 - r0], out=pc[:r1 - r0])
+        grid = np.minimum.reduceat(
+            np.minimum.reduceat(pc[:r1 - r0], ch.starts, axis=1),
+            [max(st, r0) - r0 for st in rh.starts[i0:i1]], axis=0)
+        # class s holds the chunk's X with |X| = s, and cm[s] is its least |XB|
+        cm = np.full(n + 1, 255, dtype=np.uint8)
+        np.minimum.at(cm, diag[i0:i1], grid)
+        cm = cm.tolist()
+        grid, hits, lists, counts = None if collect == "none" else grid.tolist(), {}, {}, {}
         for k in ks:
-            feasible = [j for j in range(max(0, k - c), lo + 1) if cm[j] <= n - k]
+            feasible = [s for s in range(k, n + 1) if cm[s] <= n - k]
             if not feasible:
                 continue
-            kap, al = min((cm[j] - j - c, j) for j in feasible)
+            kap, al = min((cm[s] - s, s) for s in feasible)
             run = runs.get(k)
             if run is None or kap < run[0]:
-                run = runs[k] = [kap, al + c, 0, [], []]
+                run = runs[k] = [kap, al, 0, [], []]
             elif kap > run[0]:
                 continue
             if collect == "none":
                 continue
-            if grid is None:
-                grid = np.minimum.reduceat(per_row.reshape(len(b), -1), b_bd[:-1],
-                                           axis=0).tolist()
-            if al + c < run[1]:
-                run[1], run[3] = al + c, []
-            if collect in ("atoms", "all") and al + c == run[1]:
+            if al < run[1]:
+                run[1], run[3] = al, []
+            if collect in ("atoms", "all") and al == run[1]:
                 run[3].append(listed(al))
-            attain = [j for j in feasible if cm[j] - j - c == kap]
+            attain = [s for s in feasible if cm[s] - s == kap]
             if collect == "all":
-                run[4].append(np.sort(np.concatenate([listed(j) for j in attain]),
-                                      kind="stable"))
-            run[2] += sum(tally(j) for j in attain)
+                run[4] += [listed(s) for s in attain]
+            run[2] += sum(tally(s) for s in attain)
+
+    def masks(arrays):
+        return tuple(np.sort(np.concatenate(arrays)).tolist())
+
     out: dict[int, ScanResult] = {}
     for k in ks:
         if k not in runs:
@@ -327,8 +383,8 @@ def subset_scan(
         kap, alpha, frag_count, atoms, frags = runs[k]
         out[k] = ScanResult(
             True, kap, None if collect == "none" else alpha,
-            tuple(np.concatenate(atoms).tolist()) if collect in ("atoms", "all") else None,
-            tuple(np.concatenate(frags).tolist()) if collect == "all" else None,
+            masks(atoms) if collect in ("atoms", "all") else None,
+            masks(frags) if collect == "all" else None,
             None if collect == "none" else frag_count)
     return out
 

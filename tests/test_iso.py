@@ -38,9 +38,12 @@ from isoperim import iso as iso_mod
 from oracles import (
     adj_sets,
     assert_scan_matches_oracle,
+    o_boundary,
+    o_image,
     o_kappa,
     o_pinned_profile,
     o_scan_flat,
+    o_wedge,
 )
 
 
@@ -397,10 +400,28 @@ def _planted(rng, n, closed):
     return Digraph(rows)
 
 
+def _matches_flat_oracle(rows, n, pin0):
+    """Assert that every field at every level and k = 1, 2, 3 matches one
+    flat pass over the power set; return how many k are non-separable."""
+    nonsep = 0
+    for k in (1, 2, 3):
+        want = o_scan_flat(rows, n, k, pin0)
+        nonsep += not want[0]
+        for collect in ("none", "alpha", "atoms", "all"):
+            got = subset_scan(rows, n, (k,), pin0=pin0, collect=collect)[k]
+            if want[0]:
+                keep = {"none": 2, "alpha": 3, "atoms": 4, "all": 5}[collect]
+                fields = want[:keep] + (None,) * (5 - keep)
+                fields += (None if collect == "none" else want[5],)
+            else:
+                fields = want
+            assert got == fields, (n, pin0, k, collect)
+    return nonsep
+
+
 def test_multi_chunk_scan_matches_flat_oracle():
     # 17-22 vertices run 2 to 32 chunks at the default _CHUNK_BITS; every
     # field at every level must match one flat pass over the power set
-    levels = ("none", "alpha", "atoms", "all")
     rng = random.Random(27)
     cases = [(random_reflexive_digraph(rng, n, p).rows, n, False)
              for n, p in [(17, 0.08), (18, 0.25), (19, 0.45), (20, 0.7), (17, 0.9), (18, 0.97)]]
@@ -419,23 +440,119 @@ def test_multi_chunk_scan_matches_flat_oracle():
     nonsep = 0
     for rows, n, pin0 in cases:
         assert n - pin0 > iso_mod._CHUNK_BITS
-        for k in (1, 2, 3):
-            want = o_scan_flat(rows, n, k, pin0)
-            nonsep += not want[0]
-            for collect in levels:
-                got = subset_scan(rows, n, (k,), pin0=pin0, collect=collect)[k]
-                if want[0]:
-                    keep = {"none": 2, "alpha": 3, "atoms": 4, "all": 5}[collect]
-                    fields = want[:keep] + (None,) * (5 - keep)
-                    fields += (None if collect == "none" else want[5],)
-                else:
-                    fields = want
-                assert got == fields, (n, pin0, k, collect)
+        nonsep += _matches_flat_oracle(rows, n, pin0)
     assert nonsep
     res = subset_scan(last.rows, 19, (1, 2, 3), collect="atoms")
     top = 0b111 << 16
     assert all(res[k].atom_masks == (top,) for k in (1, 2, 3))
     assert top >> iso_mod._CHUNK_BITS == (1 << 19 - iso_mod._CHUNK_BITS) - 1
+
+
+# ---------------------------------------------------------------------------
+# the closure filter behind subset_scan
+# ---------------------------------------------------------------------------
+
+
+def test_fragments_are_closed():
+    # X is closed when no v outside X has vB inside XB, that is when
+    # X = V \ (V \ XB)B^-1.  A feasible X that is not closed gains any
+    # such v and stays feasible with a boundary one smaller, so every
+    # k-fragment is closed
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        g = random_reflexive_digraph(rng, n, rng.choice([0.15, 0.35, 0.6, 0.85]))
+        adj = adj_sets(g)
+        inv = [{u for u in range(n) if v in adj[u]} for v in range(n)]
+        for k in (1, 2, 3):
+            if 2 * k - 1 > n:
+                continue
+            closed = set()
+            for r in range(n + 1):
+                for xs in combinations(range(n), r):
+                    img = o_image(adj, xs)
+                    joins = [v for v in range(n) if v not in xs and adj[v] <= img]
+                    back = set(range(n)) - o_image(inv, set(range(n)) - img)
+                    assert (back == set(xs)) == (not joins)
+                    if not joins:
+                        closed.add(frozenset(xs))
+                    if len(xs) < k or len(o_wedge(adj, n, xs)) < k:
+                        continue
+                    for v in joins:
+                        more = xs + (v,)
+                        assert len(o_wedge(adj, n, more)) >= k
+                        assert len(o_boundary(adj, more)) == len(o_boundary(adj, xs)) - 1
+            sep, _, frags = o_kappa(adj, n, k)
+            assert not sep or set(frags) <= closed, (n, k)
+
+
+def _closed_half_oracle(adj, verts, base, tag):
+    """(mask | tag, image mask) of every y over ``verts`` that no vertex of
+    ``verts`` outside y can join for free, the image of y taken with
+    ``base``, in popcount order and ascending within a popcount."""
+    out = []
+    for r in range(len(verts) + 1):
+        for ys in combinations(verts, r):
+            img = o_image(adj, set(ys) | base)
+            if not any(adj[v] <= img for v in verts if v not in ys):
+                out.append((sum(1 << v for v in ys) | tag, sum(1 << v for v in img)))
+    return sorted(out, key=lambda e: (e[0].bit_count(), e[0]))
+
+
+@pytest.mark.parametrize("pin0", [False, True])
+def test_closed_halves_match_plain_sets(pin0):
+    # when pinned, both halves' images include vertex 0's row, and the low
+    # half's masks include vertex 0
+    rng = random.Random(43 + pin0)
+    for _ in range(60):
+        n = rng.randint(1 + pin0, 10)
+        g = random_reflexive_digraph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
+        adj = adj_sets(g)
+        free = list(range(int(pin0), n))
+        la = (len(free) + 1) // 2
+        base = {0} if pin0 else set()
+        low, high = iso_mod._closed_halves(g.rows, n, int(pin0))
+        for half, verts, tag in ((low, free[:la], int(pin0)), (high, free[la:], 0)):
+            want = _closed_half_oracle(adj, verts, base, tag)
+            assert list(zip(half.xs.tolist(), half.img.tolist())) == want, (n, pin0)
+            sizes = [x.bit_count() for x, _ in want]
+            assert half.sizes == sorted(set(sizes))
+            assert half.starts == [sizes.index(c) for c in half.sizes]
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 16])
+def test_closure_filter_matches_flat_oracle(monkeypatch, chunk_bits):
+    # loop-only graphs, where every set is closed; dense graphs, where
+    # whole popcount classes of a half have no closed set; and a graph
+    # whose only atom holds the last set of the high half.  At 1 chunk
+    # bit each row is a chunk.  Every field at every level must match one
+    # flat pass over the power set
+    monkeypatch.setattr(iso_mod, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(47)
+    cases = [(cay("cyclic:17", [0])[0].rows, 17, True), (cay("cyclic:18", [0])[0].rows, 18, False)]
+    for rows, n, pin0 in cases:
+        low, high = iso_mod._closed_halves(rows, n, pin0)
+        assert len(low.xs) * len(high.xs) == 1 << n - pin0
+    dense = [random_reflexive_digraph(rng, n, p).rows for n, p in [(17, 0.9), (18, 0.95)]]
+    for rows in dense:
+        for pin0 in (False, True):
+            # the popcount classes of a half run from its least to its
+            # largest size; some of them are empty
+            halves = iso_mod._closed_halves(rows, len(rows), pin0)
+            assert any(len(h.sizes) < h.sizes[-1] - h.sizes[0] + 1 for h in halves)
+            cases.append((rows, len(rows), pin0))
+    # the closed set {0} u {10, ..., 18} is the only atom, pinned or not;
+    # it holds every high vertex, the last set of the high half
+    atom = 1 | 0b111111111 << 10
+    last = _planted(rng, 19, [(0, *range(10, 19))])
+    for pin0 in (False, True):
+        low, high = iso_mod._closed_halves(last.rows, 19, pin0)
+        assert int(high.xs[-1]) == atom >> 10 << 10
+        cases.append((last.rows, 19, pin0))
+    for rows, n, pin0 in cases:
+        _matches_flat_oracle(rows, n, pin0)
+    assert all(subset_scan(last.rows, 19, (1, 2, 3), pin0=pin0, collect="atoms")[k].atom_masks
+               == (atom,) for pin0 in (False, True) for k in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
