@@ -278,9 +278,12 @@ def verify_cmd(theorem, max_order, seed, report_path, workers):
         _fail_usage(str(exc))
     payload = [r.to_payload() for r in reports]
     if report_path:
-        with open(report_path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(report_path, "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            _fail_usage(f"cannot write {report_path!r}: {exc}")
         for r in reports:
             status = "ok" if r.ok else "COUNTEREXAMPLES"
             click.echo(

@@ -47,6 +47,16 @@ functions read the full profile, scanned at collect "all" and never
 pinned, since mapping every fragment by every translation costs far more
 than the half of the scan that pinning saves; it takes kappa, alpha, the
 atoms and omega from the same record builder.
+
+The structural checks ``check_duality``, ``check_fragment_intersection``,
+``check_overlap_bounds`` and ``check_dual_order`` share one fragment
+array per (graph, k, sign), from one ``profile()`` read: the k-fragments
+as an ascending uint32 array, with the image XB and the far side
+X^wedge = V \\ XB of each, the images taken from two ``or_table`` halves
+of the rows.  Each check is an array predicate over it: duality one
+vector over the fragments, the pair checks row-major blocks of at most
+2^``_CHUNK_BITS`` (X, Y) cells, and membership a ``searchsorted`` against
+the ascending masks.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -643,48 +653,87 @@ class CheckResult:
         return self.ok
 
 
-def _frag_env(g: Digraph, k: int, sign: str):
-    """(kappa, fragment masks, fragment mask set) for one sign."""
+class _Frags(NamedTuple):
+    """The k-fragments of one (graph, k, sign) as arrays, from one
+    ``profile()`` read; empty when the graph is not k-separable."""
+
+    p: IsoProfile
+    image: Callable[[np.ndarray], np.ndarray]  # uint32 masks -> their images
+    x: np.ndarray  # the fragments X, ascending (uint32)
+    img: np.ndarray  # XB
+    wedge: np.ndarray  # X^wedge = V \ XB
+
+
+def _fragment_array(g: Digraph, k: int, sign: str) -> _Frags:
     p = profile(g, k, sign)
-    if not p.separable:
-        return p.kappa, None, None
-    masks = tuple(f.mask for f in p.fragments)
-    return p.kappa, masks, frozenset(masks)
+    rows, h = g.rows_for(sign), g.n // 2
+    lo, hi = or_table(0, rows[:h]), or_table(0, rows[h:])
+
+    def image(m: np.ndarray) -> np.ndarray:
+        return lo[m & ((1 << h) - 1)] | hi[m >> h]
+
+    x = np.array([f.mask for f in p.fragments or ()], dtype=np.uint32)
+    img = image(x)
+    return _Frags(p, image, x, img, ((1 << g.n) - 1) ^ img)
+
+
+def _size(m: np.ndarray) -> np.ndarray:
+    """|X| of each mask, as int16 so that sums and differences stay exact."""
+    return np.bitwise_count(m).astype(np.int16)
+
+
+def _member(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether each mask of ``q`` is in the ascending, nonempty ``s``."""
+    return s[np.searchsorted(s, q) % len(s)] == q
+
+
+def _pair_fails(f: _Frags, test) -> tuple[int, list[tuple[int, int]]]:
+    """Runs ``test`` over the ordered fragment pairs (X, Y) in row-major
+    blocks of at most 2^_CHUNK_BITS cells.  ``test(rows)`` returns two
+    boolean arrays over (X in ``f.x[rows]``, every Y): the pairs checked
+    and the pairs that fail.  Returns the number checked and the (X, Y)
+    masks checked and failed, row-major."""
+    m = len(f.x)
+    per = max(1, (1 << _CHUNK_BITS) // max(m, 1))
+    checked, fails = 0, []
+    for r0 in range(0, m, per):
+        sel, bad = test(slice(r0, r0 + per))
+        checked += int(np.count_nonzero(sel))
+        i, j = np.nonzero(sel & bad)
+        fails += zip(f.x[i + r0].tolist(), f.x[j].tolist())
+    return checked, fails
+
+
+def _elems(m: int) -> list[int]:
+    return list(bits_of(m))
 
 
 def check_duality(g: Digraph, k: int) -> CheckResult:
     """kappa_k == kappa_-k, plus the boundary identities linking every
     forward fragment X to its far side X^wedge."""
     _require_scannable(g, k)
-    pf = profile(g, k, FWD)
-    pr = profile(g, k, REV)
+    f = _fragment_array(g, k, FWD)
+    r = _fragment_array(g, k, REV)
     ces: list[dict] = []
     checked = 1
-    if pf.kappa != pr.kappa:
-        ces.append({"what": "kappa mismatch", "fwd": pf.kappa, "rev": pr.kappa})
-    if pf.separable and not ces:
-        full = (1 << g.n) - 1
-        rows_f = g.rows
-        rows_r = g.in_rows
-        rev_frags = frozenset(f.mask for f in pr.fragments)
-        for frag in pf.fragments:
-            checked += 1
-            xm = frag.mask
-            gx = image_mask(rows_f, xm)
-            wedge = full & ~gx
-            bnd = gx & ~xm
-            bnd_rev = image_mask(rows_r, wedge) & ~wedge
-            back = full & ~image_mask(rows_r, wedge)
-            if bnd_rev != bnd or back != xm or wedge not in rev_frags:
-                ces.append(
-                    {
-                        "what": "fragment duality failure",
-                        "fragment": frag.indices(),
-                        "boundary": sorted(ElementSet(g.n, bnd)),
-                        "reverse_boundary_of_wedge": sorted(ElementSet(g.n, bnd_rev)),
-                        "wedge_is_reverse_fragment": wedge in rev_frags,
-                    }
-                )
+    if f.p.kappa != r.p.kappa:
+        ces.append({"what": "kappa mismatch", "fwd": f.p.kappa, "rev": r.p.kappa})
+    elif f.p.separable:
+        checked += len(f.x)
+        wimg = r.image(f.wedge)  # X^wedge B^-1
+        bnd, bnd_rev = f.img & ~f.x, wimg & ~f.wedge
+        is_rev = _member(r.x, f.wedge)
+        bad = (bnd_rev != bnd) | (((1 << g.n) - 1) ^ wimg != f.x) | ~is_rev
+        for x, b, br, w in zip(*(a[bad].tolist() for a in (f.x, bnd, bnd_rev, is_rev))):
+            ces.append(
+                {
+                    "what": "fragment duality failure",
+                    "fragment": tuple(bits_of(x)),
+                    "boundary": _elems(b),
+                    "reverse_boundary_of_wedge": _elems(br),
+                    "wedge_is_reverse_fragment": w,
+                }
+            )
     return CheckResult(not ces, checked, ces)
 
 
@@ -728,65 +777,33 @@ def check_fragment_intersection(g: Digraph, k: int) -> CheckResult:
     an atom meeting a fragment in >= k points lies inside it, so distinct
     atoms share at most k-1 points (when alpha_k <= alpha_-k)."""
     _require_scannable(g, k)
-    sep, _ = _separable(g, k)
-    if not sep:
+    f = _fragment_array(g, k, FWD)
+    if not f.p.separable:
         raise GraphError("fragment intersection needs a k-separable graph")
-    n, rows = g.n, g.rows
-    full = (1 << n) - 1
-    kap, masks, frag_set = _frag_env(g, k, FWD)
-    ces: list[dict] = []
-    checked = 0
-    wedge_of = {m: full & ~image_mask(rows, m) for m in masks}
-    for x in masks:
-        for y in masks:
-            inter = x & y
-            if inter.bit_count() < k:
-                continue
-            if x.bit_count() - inter.bit_count() + k > wedge_of[y].bit_count():
-                continue
-            checked += 1
-            if inter not in frag_set or (x | y) not in frag_set:
-                ces.append(
-                    {
-                        "what": "union/intersection not fragments",
-                        "X": sorted(ElementSet(n, x)),
-                        "Y": sorted(ElementSet(n, y)),
-                    }
-                )
-    pf = profile(g, k, FWD)
+    size, far = _size(f.x), _size(f.wedge)
+
+    def test(rows):
+        x = f.x[rows, None]
+        inter = x & f.x
+        meet = _size(inter)
+        return ((meet >= k) & (size[rows, None] - meet + k <= far),
+                ~(_member(f.x, inter) & _member(f.x, x | f.x)))
+
+    checked, fails = _pair_fails(f, test)
+    ces = [{"what": "union/intersection not fragments", "X": _elems(x), "Y": _elems(y)}
+           for x, y in fails]
     pr = profile(g, k, REV)
-    a_fwd = pf.alpha
-    a_rev = pr.alpha if pr.separable else k
-    if a_fwd <= a_rev:
-        atom_masks = [a.mask for a in pf.atoms]
-        for i, a in enumerate(atom_masks):
-            for b in atom_masks[i + 1 :]:
-                checked += 1
-                if (a & b).bit_count() > k - 1:
-                    ces.append(
-                        {
-                            "what": "distinct atoms overlap too much",
-                            "A": sorted(ElementSet(n, a)),
-                            "B": sorted(ElementSet(n, b)),
-                        }
-                    )
-            for f in masks:
-                if (a & f).bit_count() >= k:
-                    checked += 1
-                    if a & ~f:
-                        ces.append(
-                            {
-                                "what": "atom not inside fragment it meets",
-                                "A": sorted(ElementSet(n, a)),
-                                "F": sorted(ElementSet(n, f)),
-                            }
-                        )
+    if f.p.alpha <= (pr.alpha if pr.separable else k):
+        atoms = np.array([a.mask for a in f.p.atoms], dtype=np.uint32)
+        for i, a in enumerate(atoms.tolist()):
+            later = atoms[i + 1:]
+            meets = f.x[_size(f.x & a) >= k]
+            checked += len(later) + len(meets)
+            ces += [{"what": "distinct atoms overlap too much", "A": _elems(a), "B": _elems(b)}
+                    for b in later[_size(later & a) > k - 1].tolist()]
+            ces += [{"what": "atom not inside fragment it meets", "A": _elems(a), "F": _elems(m)}
+                    for m in meets[(a & ~meets) != 0].tolist()]
     return CheckResult(not ces, checked, ces)
-
-
-def _separable(g: Digraph, k: int) -> tuple[bool, int]:
-    p = profile(g, k, FWD)
-    return p.separable, p.kappa
 
 
 def check_overlap_bounds(g: Digraph, k: int) -> CheckResult:
@@ -795,63 +812,38 @@ def check_overlap_bounds(g: Digraph, k: int) -> CheckResult:
     if k < 2:
         raise GraphError("overlap bounds need k >= 2")
     _require_scannable(g, k)
-    sep, kap = _separable(g, k)
-    if not sep:
+    f = _fragment_array(g, k, FWD)
+    if not f.p.separable:
         raise GraphError("overlap bounds need a k-separable graph")
-    kap_prev = kappa(g, k - 1)
-    n, rows = g.n, g.rows
-    full = (1 << n) - 1
-    _, masks, _ = _frag_env(g, k, FWD)
-    ces: list[dict] = []
-    checked = 0
-    img_of = {m: image_mask(rows, m) for m in masks}
-    for a in masks:
-        ia = img_of[a]
-        wa = full & ~ia
-        ba = ia & ~a
-        for f in masks:
-            iff = img_of[f]
-            wf = full & ~iff
-            if a.bit_count() > wf.bit_count():
-                continue
-            if (a & f).bit_count() < k - 1:
-                continue
-            checked += 1
-            bf = iff & ~f
-            ok = (
-                (a & bf).bit_count() <= (ba & wf).bit_count()
-                and (ia & iff).bit_count() <= (a & f).bit_count() + kap
-                and (wf & ~wa).bit_count() <= (a & ~f).bit_count() + kap - kap_prev
-            )
-            if not ok:
-                ces.append(
-                    {
-                        "A": sorted(ElementSet(n, a)),
-                        "F": sorted(ElementSet(n, f)),
-                    }
-                )
+    kap, kap_prev = f.p.kappa, kappa(g, k - 1)
+    bnd, far = f.img & ~f.x, _size(f.wedge)
+
+    def test(rows):
+        a, ia, wa = f.x[rows, None], f.img[rows, None], f.wedge[rows, None]
+        meet = _size(a & f.x)
+        ok = ((_size(a & bnd) <= _size(ia & ~a & f.wedge))
+              & (_size(ia & f.img) <= meet + kap)
+              & (_size(f.wedge & ~wa) <= _size(a & ~f.x) + kap - kap_prev))
+        return (_size(a) <= far) & (meet >= k - 1), ~ok
+
+    checked, fails = _pair_fails(f, test)
+    ces = [{"A": _elems(a), "F": _elems(b)} for a, b in fails]
     return CheckResult(not ces, checked, ces)
 
 
 def check_dual_order(g: Digraph, k: int) -> CheckResult:
     """X subset-of Y iff Y^wedge subset-of X^wedge, over fragment pairs."""
     _require_scannable(g, k)
-    sep, _ = _separable(g, k)
-    if not sep:
+    f = _fragment_array(g, k, FWD)
+    if not f.p.separable:
         raise GraphError("dual order check needs a k-separable graph")
-    n, rows = g.n, g.rows
-    full = (1 << n) - 1
-    _, masks, _ = _frag_env(g, k, FWD)
-    wedge_of = {m: full & ~image_mask(rows, m) for m in masks}
-    ces: list[dict] = []
-    checked = 0
-    for x in masks:
-        for y in masks:
-            checked += 1
-            if (x & ~y == 0) != (wedge_of[y] & ~wedge_of[x] == 0):
-                ces.append(
-                    {"X": sorted(ElementSet(n, x)), "Y": sorted(ElementSet(n, y))}
-                )
+
+    def test(rows):
+        inside = (f.x[rows, None] & ~f.x) == 0
+        return np.ones_like(inside), inside != ((f.wedge & ~f.wedge[rows, None]) == 0)
+
+    checked, fails = _pair_fails(f, test)
+    ces = [{"X": _elems(x), "Y": _elems(y)} for x, y in fails]
     return CheckResult(not ces, checked, ces)
 
 

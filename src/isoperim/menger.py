@@ -355,11 +355,10 @@ def kappa1_flow(g: Digraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _max_bipartite_matching(
-    lefts: list[int], rights: list[int], adj_mask: dict[int, int]
+def _bipartite_matching(
+    lefts: list[int], rights: list[int], adj_mask: dict[int, int], k: int
 ) -> dict[int, int]:
-    """Kuhn's algorithm; returns right -> left assignment."""
-    right_pos = {v: i for i, v in enumerate(rights)}
+    """Kuhn's algorithm, stopped at k pairs; returns right -> left assignment."""
     match_right: dict[int, int] = {}
 
     def try_augment(u: int, visited: set[int]) -> bool:
@@ -374,6 +373,8 @@ def _max_bipartite_matching(
         return False
 
     for u in lefts:
+        if len(match_right) == k:
+            break
         try_augment(u, set())
     return match_right
 
@@ -405,14 +406,13 @@ def strong_iso_matching(g: Digraph, x_set: ElementSet, k: int) -> Matching:
     lefts = list(bits_of(xm))
     rights = [v for v in range(g.n) if not (xm >> v) & 1]
     adj = {u: g.rows[u] & ~xm for u in lefts}
-    match_right = _max_bipartite_matching(lefts, rights, adj)
-    pairs = sorted((u, v) for v, u in match_right.items())
-    if len(pairs) < k:
+    match_right = _bipartite_matching(lefts, rights, adj, k)
+    chosen = tuple(sorted((u, v) for v, u in match_right.items()))
+    if len(chosen) < k:
         raise RuntimeError(
-            f"matching of size {len(pairs)} < k={k}; this falsifies the "
+            f"matching of size {len(chosen)} < k={k}; this falsifies the "
             "boundary-matching guarantee"
         )
-    chosen = tuple(pairs[:k])
     heads = {p[0] for p in chosen}
     tails = {p[1] for p in chosen}
     if len(heads) != k or len(tails) != k or any(

@@ -14,7 +14,10 @@ table, tallying into the checker's own ``_Tally``.  Each takes
 ``o_coset_deficiency`` takes kappa_1 inside <S> from ``o_closure`` and
 ``o_kappa``.  ``o_scan_flat`` uses numpy too, on graphs too large for
 plain sets: one pass over the whole power set in natural mask order,
-with none of ``subset_scan``'s chunks or popcount classes.
+with none of ``subset_scan``'s chunks or popcount classes.  The four
+``o_check_*`` at the very end are the Python pair loops of ``iso``'s
+structural checkers, reading fragments from ``iso.profile`` and images
+from ``image_mask``.
 """
 
 import itertools
@@ -428,3 +431,198 @@ def o_small_sets_pairs(g, scan, rng, t):
                        what="no common progression ratio")
                 if common:
                     t.bump("pairs_translated")
+
+
+# The four structural checkers of ``isoperim.iso`` as they were written
+# before their fragment arrays: one Python loop per fragment pair, over
+# masks read from ``iso.profile`` (so a patched ``iso._profile_impl``
+# reaches them too) and images from ``image_mask``.
+
+
+def _o_frag_env(g, k, sign):
+    from isoperim.iso import profile
+
+    p = profile(g, k, sign)
+    if not p.separable:
+        return p.kappa, None, None
+    masks = tuple(f.mask for f in p.fragments)
+    return p.kappa, masks, frozenset(masks)
+
+
+def _o_separable(g, k):
+    from isoperim.digraph import FWD
+    from isoperim.iso import profile
+
+    p = profile(g, k, FWD)
+    return p.separable, p.kappa
+
+
+def o_check_duality(g, k):
+    from isoperim.digraph import FWD, REV, image_mask
+    from isoperim.iso import CheckResult, _require_scannable, profile
+    from isoperim.sets import ElementSet
+
+    _require_scannable(g, k)
+    pf = profile(g, k, FWD)
+    pr = profile(g, k, REV)
+    ces = []
+    checked = 1
+    if pf.kappa != pr.kappa:
+        ces.append({"what": "kappa mismatch", "fwd": pf.kappa, "rev": pr.kappa})
+    if pf.separable and not ces:
+        full = (1 << g.n) - 1
+        rows_f = g.rows
+        rows_r = g.in_rows
+        rev_frags = frozenset(f.mask for f in pr.fragments)
+        for frag in pf.fragments:
+            checked += 1
+            xm = frag.mask
+            gx = image_mask(rows_f, xm)
+            wedge = full & ~gx
+            bnd = gx & ~xm
+            bnd_rev = image_mask(rows_r, wedge) & ~wedge
+            back = full & ~image_mask(rows_r, wedge)
+            if bnd_rev != bnd or back != xm or wedge not in rev_frags:
+                ces.append(
+                    {
+                        "what": "fragment duality failure",
+                        "fragment": frag.indices(),
+                        "boundary": sorted(ElementSet(g.n, bnd)),
+                        "reverse_boundary_of_wedge": sorted(ElementSet(g.n, bnd_rev)),
+                        "wedge_is_reverse_fragment": wedge in rev_frags,
+                    }
+                )
+    return CheckResult(not ces, checked, ces)
+
+
+def o_check_fragment_intersection(g, k):
+    from isoperim.digraph import FWD, REV, GraphError, image_mask
+    from isoperim.iso import CheckResult, _require_scannable, profile
+    from isoperim.sets import ElementSet
+
+    _require_scannable(g, k)
+    sep, _ = _o_separable(g, k)
+    if not sep:
+        raise GraphError("fragment intersection needs a k-separable graph")
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    kap, masks, frag_set = _o_frag_env(g, k, FWD)
+    ces = []
+    checked = 0
+    wedge_of = {m: full & ~image_mask(rows, m) for m in masks}
+    for x in masks:
+        for y in masks:
+            inter = x & y
+            if inter.bit_count() < k:
+                continue
+            if x.bit_count() - inter.bit_count() + k > wedge_of[y].bit_count():
+                continue
+            checked += 1
+            if inter not in frag_set or (x | y) not in frag_set:
+                ces.append(
+                    {
+                        "what": "union/intersection not fragments",
+                        "X": sorted(ElementSet(n, x)),
+                        "Y": sorted(ElementSet(n, y)),
+                    }
+                )
+    pf = profile(g, k, FWD)
+    pr = profile(g, k, REV)
+    a_fwd = pf.alpha
+    a_rev = pr.alpha if pr.separable else k
+    if a_fwd <= a_rev:
+        atom_masks = [a.mask for a in pf.atoms]
+        for i, a in enumerate(atom_masks):
+            for b in atom_masks[i + 1 :]:
+                checked += 1
+                if (a & b).bit_count() > k - 1:
+                    ces.append(
+                        {
+                            "what": "distinct atoms overlap too much",
+                            "A": sorted(ElementSet(n, a)),
+                            "B": sorted(ElementSet(n, b)),
+                        }
+                    )
+            for f in masks:
+                if (a & f).bit_count() >= k:
+                    checked += 1
+                    if a & ~f:
+                        ces.append(
+                            {
+                                "what": "atom not inside fragment it meets",
+                                "A": sorted(ElementSet(n, a)),
+                                "F": sorted(ElementSet(n, f)),
+                            }
+                        )
+    return CheckResult(not ces, checked, ces)
+
+
+def o_check_overlap_bounds(g, k):
+    from isoperim.digraph import FWD, GraphError, image_mask
+    from isoperim.iso import CheckResult, _require_scannable, kappa
+    from isoperim.sets import ElementSet
+
+    if k < 2:
+        raise GraphError("overlap bounds need k >= 2")
+    _require_scannable(g, k)
+    sep, kap = _o_separable(g, k)
+    if not sep:
+        raise GraphError("overlap bounds need a k-separable graph")
+    kap_prev = kappa(g, k - 1)
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    _, masks, _ = _o_frag_env(g, k, FWD)
+    ces = []
+    checked = 0
+    img_of = {m: image_mask(rows, m) for m in masks}
+    for a in masks:
+        ia = img_of[a]
+        wa = full & ~ia
+        ba = ia & ~a
+        for f in masks:
+            iff = img_of[f]
+            wf = full & ~iff
+            if a.bit_count() > wf.bit_count():
+                continue
+            if (a & f).bit_count() < k - 1:
+                continue
+            checked += 1
+            bf = iff & ~f
+            ok = (
+                (a & bf).bit_count() <= (ba & wf).bit_count()
+                and (ia & iff).bit_count() <= (a & f).bit_count() + kap
+                and (wf & ~wa).bit_count() <= (a & ~f).bit_count() + kap - kap_prev
+            )
+            if not ok:
+                ces.append(
+                    {
+                        "A": sorted(ElementSet(n, a)),
+                        "F": sorted(ElementSet(n, f)),
+                    }
+                )
+    return CheckResult(not ces, checked, ces)
+
+
+def o_check_dual_order(g, k):
+    from isoperim.digraph import FWD, GraphError, image_mask
+    from isoperim.iso import CheckResult, _require_scannable
+    from isoperim.sets import ElementSet
+
+    _require_scannable(g, k)
+    sep, _ = _o_separable(g, k)
+    if not sep:
+        raise GraphError("dual order check needs a k-separable graph")
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    _, masks, _ = _o_frag_env(g, k, FWD)
+    wedge_of = {m: full & ~image_mask(rows, m) for m in masks}
+    ces = []
+    checked = 0
+    for x in masks:
+        for y in masks:
+            checked += 1
+            if (x & ~y == 0) != (wedge_of[y] & ~wedge_of[x] == 0):
+                ces.append(
+                    {"X": sorted(ElementSet(n, x)), "Y": sorted(ElementSet(n, y))}
+                )
+    return CheckResult(not ces, checked, ces)

@@ -146,6 +146,9 @@ def test_usage_errors_exit_2(tmp_path):
     assert r.exit_code == 2
     r = CliRunner().invoke(main, ["verify", "--max-order", "2", "--workers", "0"])
     assert r.exit_code == 2
+    r = CliRunner().invoke(main, ["verify", "--max-order", "2", "--report",
+                                  str(tmp_path / "missing" / "report.json")])
+    assert r.exit_code == 2, r.output  # report directory does not exist
     r = CliRunner().invoke(main, ["menger", "connect", "--graph",
                                   "cyclic:5@0,1,2", "--x", "0", "--y", "1"])
     assert r.exit_code == 2  # adjacent pair

@@ -39,6 +39,10 @@ from oracles import (
     adj_sets,
     assert_scan_matches_oracle,
     o_boundary,
+    o_check_dual_order,
+    o_check_duality,
+    o_check_fragment_intersection,
+    o_check_overlap_bounds,
     o_image,
     o_kappa,
     o_pinned_profile,
@@ -342,9 +346,10 @@ def test_chunk_merge_matches_oracle(monkeypatch, chunk_bits):
 
 
 def test_wide_key_edges():
-    # 18 vertices need the uint16 key: the loops-only graph has fragments
-    # of every size 1..17 at boundary 0, and K_18 minus a perfect matching
-    # has its 18 singleton fragments at boundary 16
+    # the extreme boundaries of 18 vertices: the loops-only graph keeps
+    # every set through the closure filter (four chunks) and has
+    # fragments of every size 1..17 at boundary 0, and K_18 minus a
+    # perfect matching has its 18 singleton fragments at boundary 16 = n - 2
     loops = Digraph([1 << v for v in range(18)])
     res = subset_scan(loops.rows, 18, (1, 2), collect="alpha")
     assert res[1] == (True, 0, 1, None, None, 2**18 - 2)
@@ -631,21 +636,100 @@ def test_check_fragment_intersection_examples():
     assert check_fragment_intersection(g73, 1).ok
 
 
-def test_check_fragment_intersection_sweep():
-    for spec in ("cyclic:6", "symmetric:3", "cyclic:8", "dihedral:4"):
-        g = make_group(spec)
-        n = g.order
-        from isoperim.catalog import GroupScan
+def test_checkers_hold_on_catalog_to_order_8():
+    # every generating S of every catalog group to order 8, at each k in
+    # (1, 2) where Cay(G, S) is k-separable; overlap bounds need k = 2
+    from isoperim.catalog import GroupScan, build, entries
 
-        scan = GroupScan(g)
-        for sm in scan.subsets_with_identity():
-            if not scan.generates(sm):
+    calls = 0
+    for e in entries(8):
+        group = build(e.spec)
+        scan = GroupScan(group)
+        for smask in scan.subsets_with_identity():
+            if not scan.generates(smask):
                 continue
-            graph = cayley_graph(g, ElementSet(n, sm))
+            graph = cayley_graph(group, ElementSet(group.order, smask))
             for k in (1, 2):
-                res = subset_scan(graph.rows, n, (k,), collect="none")[k]
-                if res.separable:
-                    assert check_fragment_intersection(graph, k).ok
+                if 2 * k - 1 > graph.n or not profile(graph, k).separable:
+                    continue
+                checks = [check_duality, check_fragment_intersection, check_dual_order]
+                for check in checks + [check_overlap_bounds] * (k == 2):
+                    calls += 1
+                    assert check(graph, k).ok, (e.name, bin(smask), k, check.__name__)
+    assert calls == 3909
+
+
+CHECKERS = [
+    (check_duality, o_check_duality),
+    (check_fragment_intersection, o_check_fragment_intersection),
+    (check_overlap_bounds, o_check_overlap_bounds),
+    (check_dual_order, o_check_dual_order),
+]
+
+
+def _outcome(check, g, k):
+    try:
+        return check(g, k)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _corrupt_forward(real):
+    """A ``_profile_impl`` whose separable forward profiles drop some
+    fragments, gain some non-fragments, shift kappa or swap in other
+    atoms, the same way on every call for one (graph, k)."""
+    import dataclasses
+
+    def impl(g, k, sign):
+        p = real(g, k, sign)
+        if sign != FWD or not p.separable:
+            return p
+        rng = random.Random(repr((g.rows, k)))
+        n = g.n
+        masks = [f.mask for f in p.fragments]
+        if rng.random() < 0.5:
+            masks = [m for m in masks if rng.random() < 0.7] or masks[:1]
+        if rng.random() < 0.5:
+            masks = sorted(set(masks) | {rng.randrange(1, 1 << n) for _ in range(3)})
+        ats = [m for m in masks if rng.random() < 0.5] or masks[:1]
+        return dataclasses.replace(
+            p, kappa=p.kappa + rng.choice([0, 0, -1, 1]),
+            alpha=min(m.bit_count() for m in ats),
+            atoms=tuple(ElementSet(n, m) for m in ats),
+            fragments=tuple(ElementSet(n, m) for m in masks))
+
+    return impl
+
+
+@pytest.mark.parametrize("mode", ["clean", "blocks", "corrupt"])
+def test_checkers_match_loop_oracles(monkeypatch, mode):
+    # the array checkers against the pair loops they replaced: whole
+    # CheckResults (by repr, so value types count too) and GraphErrors,
+    # on random digraphs and catalog Cayley graphs; "blocks" splits the
+    # pair checks into blocks of 2-8 cells, and "corrupt" feeds both a
+    # damaged forward profile, in blocks and whole, so that counterexample
+    # lists are long and cross blocks
+    from isoperim.catalog import build, entries
+
+    rng = random.Random(33)
+    graphs = [random_reflexive_digraph(rng, rng.randint(1, 9)) for _ in range(40)]
+    for e in entries(8):
+        group = build(e.spec)
+        for _ in range(3):
+            smask = 1 | rng.getrandbits(group.order)
+            graphs.append(cayley_graph(group, ElementSet(group.order, smask)))
+    if mode == "corrupt":
+        monkeypatch.setattr(iso_mod, "_profile_impl", _corrupt_forward(iso_mod._profile_impl))
+    found = 0
+    for i, g in enumerate(graphs):
+        if mode != "clean":
+            monkeypatch.setattr(iso_mod, "_CHUNK_BITS", (1, 2, 3, 16)[i % (3 + (mode == "corrupt"))])
+        for k in (1, 2, 3):
+            for check, oracle in CHECKERS:
+                got = _outcome(check, g, k)
+                assert repr(got) == repr(_outcome(oracle, g, k)), (g.rows, k, check.__name__)
+                found += isinstance(got, CheckResult) and len(got.counterexamples) > 1
+    assert (found > 100) == (mode == "corrupt")
 
 
 def test_check_overlap_bounds_examples():
